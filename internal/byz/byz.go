@@ -601,19 +601,25 @@ func (d *Defense) Observe(sig vector.Vector) {
 	n := d.n
 	idx := 0
 	for i := 0; i < n; i++ {
+		// Row i's own counts stay in registers; column j's go to memory.
+		tot, inv := 0, 0
 		for j := i + 1; j < n; j++ {
 			o, s := d.orig[idx], sig[idx]
 			idx++
-			if o.IsStar() || s.IsStar() {
+			if o != o || s != s { // Star is NaN: the pair is uninformative
 				continue
 			}
-			d.tot[i]++
+			tot++
 			d.tot[j]++
-			if so, ss := sign(o), sign(s); so != 0 && ss != 0 && so != ss {
-				d.inv[i]++
+			// An inversion: strict relations of opposite sign (a zero,
+			// Flipped, on either side is no evidence).
+			if (o > 0 && s < 0) || (o < 0 && s > 0) {
+				inv++
 				d.inv[j]++
 			}
 		}
+		d.tot[i] += tot
+		d.inv[i] += inv
 	}
 	d.lastSig = append(d.lastSig[:0], sig...)
 	d.rounds++

@@ -240,3 +240,51 @@ func TestBenignFloor(t *testing.T) {
 		t.Errorf("k=1 floor %v, want 1 (single instant certifies nothing)", d1.benignFloor)
 	}
 }
+
+// TestObservePairCountsMatchSignReference pins Observe's pair pass to
+// its definition over every value class a vector carries — Star, the
+// ternary values, signed zeros and fractional extended values: a pair
+// is informative unless either side is Star, and an inversion when
+// sign() of the two sides is strict and opposite.
+func TestObservePairCountsMatchSignReference(t *testing.T) {
+	vals := []vector.Value{vector.Star, vector.Farther, vector.Flipped, vector.Nearer,
+		vector.Value(math.Copysign(0, -1)), 0.25, -0.5, 1e-300, -1e-300}
+	const n = 9
+	rng := uint64(1)
+	pick := func() vector.Value {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return vals[(rng>>33)%uint64(len(vals))]
+	}
+	d := New(Config{}, n, 5, nil)
+	for round := 0; round < 500; round++ {
+		orig, sig := vector.New(n), vector.New(n)
+		for k := range orig {
+			orig[k], sig[k] = pick(), pick()
+		}
+		wantTot, wantInv := make([]int, n), make([]int, n)
+		idx := 0
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				o, s := orig[idx], sig[idx]
+				idx++
+				if o.IsStar() || s.IsStar() {
+					continue
+				}
+				wantTot[i]++
+				wantTot[j]++
+				if so, ss := sign(o), sign(s); so != 0 && ss != 0 && so != ss {
+					wantInv[i]++
+					wantInv[j]++
+				}
+			}
+		}
+		d.Apply(orig)
+		d.Observe(sig)
+		for i := 0; i < n; i++ {
+			if d.tot[i] != wantTot[i] || d.inv[i] != wantInv[i] {
+				t.Fatalf("round %d node %d: tot/inv %d/%d, reference %d/%d",
+					round, i, d.tot[i], d.inv[i], wantTot[i], wantInv[i])
+			}
+		}
+	}
+}

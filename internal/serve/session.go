@@ -67,7 +67,10 @@ type Session struct {
 	wire SessionConfig
 	cfg  core.Config
 	mt   *core.MultiTracker
-	root *randx.Stream // immutable seed root; Split is concurrency-safe
+	// root is the session's seed root. It is only ever split, never drawn
+	// from, and derivation does not mutate a stream, so every request
+	// derives its stream from it concurrently.
+	root *randx.Stream
 	rec  *obs.Recorder // flight recorder; nil when tracing is disabled
 	// releaseDiv unpins this session's field-cache division entry; nil
 	// when the session was built without the cache. Called once from
@@ -312,8 +315,12 @@ func (s *Session) execute(batch []*request) {
 			s.mu.Unlock()
 			s.publish(ew)
 		}
-		r.done <- resp
+		// Release the admission slot before the answer wakes the caller
+		// (done is buffered): once submit returns — and Quiesce with it —
+		// the request no longer counts as in flight for a state export
+		// or for the caller's next admission.
 		s.inflight.Add(-1)
+		r.done <- resp
 	}
 }
 
@@ -323,10 +330,10 @@ func (s *Session) drainQueue() {
 		select {
 		case r := <-s.in:
 			s.srv.met.queueDepth.Add(-1)
+			s.inflight.Add(-1)
 			if !r.canceled.Load() {
 				r.done <- response{err: ErrSessionClosed}
 			}
-			s.inflight.Add(-1)
 		default:
 			return
 		}
