@@ -7,7 +7,9 @@
 package fttt_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"runtime"
 	"testing"
 
@@ -286,5 +288,40 @@ func BenchmarkServeLocalize(b *testing.B) {
 		if _, err := sess.Localize(ctx, "bench", points[i%len(points)]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestReportDecodeAllocs gates report ingestion's body decode — the
+// handler's JSON decode into a ReportWire plus the shape check into a
+// sampling.Group — on a 5×20 report from the paper fixture (20 random
+// nodes, k = 5). The RSS matrix decoder fills one backing array and one
+// row-header array whatever the row count, so a regression to a
+// per-row or per-value allocation shows at once.
+func TestReportDecodeAllocs(t *testing.T) {
+	skipUnderRace(t)
+	fieldRect := geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100))
+	dep := deploy.Random(fieldRect, 20, randx.New(6))
+	s := &sampling.Sampler{Model: rf.Default(), Nodes: dep.Positions(), Range: 40, Epsilon: 1}
+	g := s.Sample(geom.Pt(40, 60), 5, randx.New(9))
+	body, err := json.Marshal(serve.ReportWire{Target: "t", RSS: g.RSS, Reported: g.Reported})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func() {
+		var rw serve.ReportWire
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&rw); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rw.Group(20, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	// Measured 19 (down from 51 with reflective [][]float64 decoding):
+	// two for the matrix, the rest the decoder, its buffer growth, the
+	// target string, the reported slice and the Group.
+	const budget = 19
+	if allocs := testing.AllocsPerRun(200, decode); allocs > budget {
+		t.Errorf("report decode allocates %.1f objects/op, budget %d", allocs, budget)
 	}
 }

@@ -88,7 +88,7 @@ func run(addr, backendSpec string, healthInterval time.Duration) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: rt}
+	hs := &http.Server{Handler: rt, ReadHeaderTimeout: obs.ReadHeaderTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "fttt-router: %s\n", build)

@@ -85,7 +85,7 @@ func run(addr string, maxBatch int, batchWait time.Duration, queue int, timeout 
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: mux}
+	hs := &http.Server{Handler: mux, ReadHeaderTimeout: obs.ReadHeaderTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "fttt-serve: %s\n", build)

@@ -188,8 +188,12 @@ type Defense struct {
 	// lastSig is the previous round's matched signature — the trusted
 	// side of every witness-composition link that involves a suspect.
 	lastSig vector.Vector
-	// weights is the pair-trust scratch returned by Apply.
+	// weights is the pair-trust scratch returned by Apply; nodeW, link
+	// and trust are its per-call vote inputs (see buildLinks).
 	weights []float64
+	nodeW   []float64
+	link    []int8
+	trust   []float64
 	// inv/tot are the per-round per-node residual counters; rates the
 	// per-round rate scratch for the fleet-median baseline; hadExcess
 	// remembers which nodes showed positive excess last round (the
@@ -445,11 +449,21 @@ func (d *Defense) Apply(v vector.Vector) []float64 {
 		d.weights = make([]float64, len(v))
 	}
 	w := d.weights[:len(v)]
+	if cap(d.nodeW) < n {
+		d.nodeW = make([]float64, n)
+	}
+	nodeW := d.nodeW[:n]
+	for i := range nodeW {
+		nodeW[i] = d.nodeWeight(i)
+	}
+	if d.numSuspects > 0 {
+		d.buildLinks()
+	}
 	idx := 0
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			pw := d.nodeWeight(i)
-			if wj := d.nodeWeight(j); wj < pw {
+			pw := nodeW[i]
+			if wj := nodeW[j]; wj < pw {
 				pw = wj
 			}
 			w[idx] = pw
@@ -498,29 +512,72 @@ func (d *Defense) nodeWeight(i int) float64 {
 	}
 }
 
+// linkNone is the link-table entry of a composition link that carries
+// no information: it involves a suspect, and no previous signature of
+// the current vector's length exists to read it from.
+const linkNone int8 = 2
+
+// buildLinks fills the per-call vote inputs: the n×n link table, whose
+// entry [a·n+b] is the sign of the ordered relation (a, b), and every
+// node's NodeTrust. A link between two non-suspects is read from the
+// current round's pre-correction snapshot; a link involving a suspect
+// from the previous matched signature instead (linkNone before one
+// exists), so a suspect's current reports never feed the vote on its
+// own pairs. The relation is antisymmetric — sign(v[b,a]) = −sign(v[a,b])
+// — so one pass in pair order writes both halves; the diagonal stays 0.
+func (d *Defense) buildLinks() {
+	n := d.n
+	if cap(d.link) < n*n {
+		d.link = make([]int8, n*n)
+	}
+	link := d.link[:n*n]
+	sigOK := len(d.lastSig) == len(d.orig)
+	idx := 0
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			s := linkNone
+			switch {
+			case !d.suspect[a] && !d.suspect[b]:
+				s = int8(sign(d.orig[idx]))
+			case sigOK:
+				s = int8(sign(d.lastSig[idx]))
+			}
+			link[a*n+b] = s
+			if s != linkNone {
+				s = -s
+			}
+			link[b*n+a] = s
+			idx++
+		}
+	}
+	if cap(d.trust) < n {
+		d.trust = make([]float64, n)
+	}
+	d.trust = d.trust[:n]
+	for m := range d.trust {
+		d.trust[m] = d.NodeTrust(m)
+	}
+}
+
 // voteOnPair gathers the non-suspect witnesses' composed votes on pair
 // (i, j) and tallies them. Witness m vouches sign s when its relations
 // to both endpoints agree on s: v[i,m] == s and v[m,j] == s (the
 // distance order is total, so the composition is transitive — only
 // witnesses sitting between i and j in that order can certify it).
-// Links between two non-suspects are read from the current round's
-// pre-correction snapshot; links involving a suspect are read from the
-// previous matched signature instead, so a suspect's current reports
-// never feed the vote on its own pairs. Before any signature has been
-// observed, suspect links carry no information and the vote abstains.
+// Both links come from the table buildLinks filled; v[m,j] is −v[j,m],
+// so the scan walks rows i and j side by side. Before any signature has
+// been observed, suspect links read linkNone and the vote abstains.
 func (d *Defense) voteOnPair(i, j int) (int, bool) {
 	var pos, neg float64
 	n := d.n
-	for m := 0; m < n; m++ {
-		if m == i || m == j || d.suspect[m] {
+	ri, rj := d.link[i*n:i*n+n], d.link[j*n:j*n+n]
+	for m, sim := range ri {
+		// The zero diagonal rules out m == i and m == j; linkNone on
+		// either side never matches the other's negation.
+		if sim == 0 || sim != -rj[m] || d.suspect[m] {
 			continue
 		}
-		sim, ok1 := d.linkVal(i, m)
-		smj, ok2 := d.linkVal(m, j)
-		if !ok1 || !ok2 || sim == 0 || sim != smj {
-			continue
-		}
-		wt := d.NodeTrust(m)
+		wt := d.trust[m]
 		if wt <= 0 {
 			continue
 		}
@@ -542,34 +599,6 @@ func (d *Defense) voteOnPair(i, j int) (int, bool) {
 		return 0, false
 	}
 	return win, true
-}
-
-// linkVal reads the sign of one composition link (a, b): from the
-// current pre-correction snapshot when both nodes are trusted, from the
-// previous matched signature when either is suspect. The second return
-// is false when the link carries no usable information.
-func (d *Defense) linkVal(a, b int) (int, bool) {
-	src := d.orig
-	if d.suspect[a] || d.suspect[b] {
-		src = d.lastSig
-		if len(src) != len(d.orig) {
-			return 0, false
-		}
-	}
-	return sign(pairValIn(src, a, b, d.n)), true
-}
-
-// pairValIn reads the ordered relation value for nodes (a, b) from v,
-// flipping the stored (min, max) pair value when a > b.
-func pairValIn(v vector.Vector, a, b, n int) vector.Value {
-	if a < b {
-		return v[vector.PairIndex(a, b, n)]
-	}
-	x := v[vector.PairIndex(b, a, n)]
-	if x.IsStar() {
-		return x
-	}
-	return -x
 }
 
 // Observe runs the defense's post-match learning phase: it charges each

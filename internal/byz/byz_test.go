@@ -288,3 +288,156 @@ func TestObservePairCountsMatchSignReference(t *testing.T) {
 		}
 	}
 }
+
+// refLinkVal is the per-link reference for the vote's link table: the
+// sign of one composition link (a, b), read from the current
+// pre-correction snapshot when both nodes are trusted and from the
+// previous matched signature when either is suspect; false when the
+// link carries no usable information.
+func refLinkVal(d *Defense, a, b int) (int, bool) {
+	src := d.orig
+	if d.suspect[a] || d.suspect[b] {
+		src = d.lastSig
+		if len(src) != len(d.orig) {
+			return 0, false
+		}
+	}
+	return sign(refPairValIn(src, a, b, d.n)), true
+}
+
+// refPairValIn reads the ordered relation value for nodes (a, b) from v,
+// flipping the stored (min, max) pair value when a > b.
+func refPairValIn(v vector.Vector, a, b, n int) vector.Value {
+	if a < b {
+		return v[vector.PairIndex(a, b, n)]
+	}
+	x := v[vector.PairIndex(b, a, n)]
+	if x.IsStar() {
+		return x
+	}
+	return -x
+}
+
+// refVoteOnPair is voteOnPair computed link by link, with the same
+// witness order and accumulation order.
+func refVoteOnPair(d *Defense, i, j int) (int, bool) {
+	var pos, neg float64
+	for m := 0; m < d.n; m++ {
+		if m == i || m == j || d.suspect[m] {
+			continue
+		}
+		sim, ok1 := refLinkVal(d, i, m)
+		smj, ok2 := refLinkVal(d, m, j)
+		if !ok1 || !ok2 || sim == 0 || sim != smj {
+			continue
+		}
+		wt := d.NodeTrust(m)
+		if wt <= 0 {
+			continue
+		}
+		if sim > 0 {
+			pos += wt
+		} else {
+			neg += wt
+		}
+	}
+	return QuorumVote([]Vote{{1, pos}, {-1, neg}}, d.cfg.MinQuorum, d.cfg.QuorumThreshold)
+}
+
+// refApply is Apply's alert path without the link table: per-pair node
+// weights and per-link votes. It reads the snapshot the preceding Apply
+// took, so it must run on the same input right after it.
+func refApply(d *Defense, v vector.Vector) []float64 {
+	w := make([]float64, len(v))
+	idx := 0
+	for i := 0; i < d.n; i++ {
+		for j := i + 1; j < d.n; j++ {
+			w[idx] = math.Min(d.nodeWeight(i), d.nodeWeight(j))
+			if (d.suspect[i] || d.suspect[j]) && !v[idx].IsStar() {
+				switch voted, ok := refVoteOnPair(d, i, j); {
+				case !ok:
+					v[idx] = vector.Star
+				case voted > 0 && sign(v[idx]) != 1:
+					v[idx] = vector.Nearer
+				case voted < 0 && sign(v[idx]) != -1:
+					v[idx] = vector.Farther
+				}
+			}
+			idx++
+		}
+	}
+	return w
+}
+
+// TestApplyMatchesLinkReference is the oracle for the link-table vote:
+// over random suspect sets, evidence levels (including zero trust),
+// vectors mixing Star, ternary, signed-zero and fractional values, and
+// previous signatures that are absent, well-formed or of the wrong
+// length, the table-driven Apply returns bit-identical weights and
+// rewrites the vector bit-identically to the per-link reference.
+func TestApplyMatchesLinkReference(t *testing.T) {
+	vals := []vector.Value{vector.Star, vector.Farther, vector.Flipped, vector.Nearer,
+		vector.Value(math.Copysign(0, -1)), 0.25, -0.5, 1e-300, -1e-300}
+	evids := []float64{0, 0.04, 0.05, 0.07, 0.12, 0.19, 0.2, 0.5, 1}
+	rng := uint64(7)
+	next := func(k int) int {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return int((rng >> 33) % uint64(k))
+	}
+	randVec := func(dim int) vector.Vector {
+		v := make(vector.Vector, dim)
+		for k := range v {
+			v[k] = vals[next(len(vals))]
+			if next(3) > 0 && !v[k].IsStar() { // skew toward strict relations so quorums form
+				v[k] = []vector.Value{vector.Nearer, vector.Farther}[next(2)]
+			}
+		}
+		return v
+	}
+	var starred, overridden, kept int
+	for trial := 0; trial < 3000; trial++ {
+		n := 3 + next(10)
+		cfg := Config{MinQuorum: float64(1 + next(3)), QuorumThreshold: []float64{0, 0.55, 0.9}[next(3)]}
+		d := New(cfg, n, 5, nil)
+		for i := 0; i < n; i++ {
+			d.evid[i] = evids[next(len(evids))]
+			if next(3) == 0 {
+				d.suspect[i] = true
+				d.numSuspects++
+			}
+		}
+		d.alert = true
+		dim := n * (n - 1) / 2
+		switch next(4) {
+		case 0: // no signature observed yet
+		case 1:
+			d.lastSig = randVec(dim + 1) // wrong length: suspect links abstain
+		default:
+			d.lastSig = randVec(dim)
+		}
+		in := randVec(dim)
+		got, want := in.Clone(), in.Clone()
+		gw := d.Apply(got)
+		ww := refApply(d, want)
+		for k := range in {
+			if math.Float64bits(float64(got[k])) != math.Float64bits(float64(want[k])) {
+				t.Fatalf("trial %d (n=%d) pair %d: Apply %v, reference %v", trial, n, k, got[k], want[k])
+			}
+			if math.Float64bits(gw[k]) != math.Float64bits(ww[k]) {
+				t.Fatalf("trial %d (n=%d) pair %d: weight %v, reference %v", trial, n, k, gw[k], ww[k])
+			}
+			switch {
+			case got[k].IsStar() && !in[k].IsStar():
+				starred++
+			case math.Float64bits(float64(got[k])) != math.Float64bits(float64(in[k])):
+				overridden++
+			case d.numSuspects > 0 && !in[k].IsStar():
+				kept++
+			}
+		}
+	}
+	// The sweep must reach every vote outcome, or it proves little.
+	if starred == 0 || overridden == 0 || kept == 0 {
+		t.Fatalf("vote outcomes not all exercised: starred %d, overridden %d, kept %d", starred, overridden, kept)
+	}
+}

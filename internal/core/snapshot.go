@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"fttt/internal/geom"
 )
@@ -73,7 +74,14 @@ func (m *MultiTracker) SnapshotTarget(targetID string) (TargetSnapshot, error) {
 // face ID resolves to the same face. Restoring then continuing the
 // source's request sequence yields estimates byte-identical to never
 // having migrated (pinned by TestSnapshotRestoreByteIdentical).
+//
+// The snapshot is validated in full before anything is written: a
+// rejected snapshot leaves an existing target exactly as it was and
+// creates no new one.
 func (m *MultiTracker) RestoreTarget(targetID string, snap TargetSnapshot) error {
+	if err := snap.validate(len(m.Division().Faces)); err != nil {
+		return fmt.Errorf("core: restore target %q: %w", targetID, err)
+	}
 	ts, err := m.target(targetID)
 	if err != nil {
 		return err
@@ -81,23 +89,36 @@ func (m *MultiTracker) RestoreTarget(targetID string, snap TargetSnapshot) error
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	tr := ts.tr
+	tr.prev = nil
 	if snap.FaceID >= 0 {
-		if snap.FaceID >= len(tr.div.Faces) {
-			return fmt.Errorf("core: restore target %q: face %d out of range (division has %d faces)",
-				targetID, snap.FaceID, len(tr.div.Faces))
-		}
 		tr.prev = &tr.div.Faces[snap.FaceID]
-	} else {
-		tr.prev = nil
-	}
-	if snap.HistN < 0 || snap.HistN > 2 {
-		return fmt.Errorf("core: restore target %q: histN %d out of range [0,2]", targetID, snap.HistN)
 	}
 	tr.histN = snap.HistN
 	tr.lastPos = geom.Pt(snap.LastX, snap.LastY)
 	tr.prevPos = geom.Pt(snap.PrevX, snap.PrevY)
 	if tr.faults != nil && snap.FaultNow > 0 {
 		tr.faults.Seek(snap.FaultNow)
+	}
+	return nil
+}
+
+// validate checks a snapshot against a division of faces faces: the
+// face must exist (or be -1, a cold start), the history count must be
+// 0..2, and every position and the fault clock must be finite.
+func (snap TargetSnapshot) validate(faces int) error {
+	if snap.FaceID < -1 || snap.FaceID >= faces {
+		return fmt.Errorf("face %d out of range [-1,%d)", snap.FaceID, faces)
+	}
+	if snap.HistN < 0 || snap.HistN > 2 {
+		return fmt.Errorf("histN %d out of range [0,2]", snap.HistN)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"lastX", snap.LastX}, {"lastY", snap.LastY}, {"prevX", snap.PrevX}, {"prevY", snap.PrevY}, {"faultNow", snap.FaultNow}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%s %v is not finite", f.name, f.v)
+		}
 	}
 	return nil
 }

@@ -182,3 +182,83 @@ func TestSnapshotErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRestoreRejectsWithoutSideEffects pins RestoreTarget's
+// validate-then-commit contract, one subtest per rejected field: the
+// bad snapshot is refused, the live target it was aimed at localizes
+// its next request byte-identically to an untouched twin and snapshots
+// identically, and a refused restore of an unknown target creates
+// nothing.
+func TestRestoreRejectsWithoutSideEffects(t *testing.T) {
+	cfg := snapshotConfig(t)
+	// Every rejected snapshot is otherwise a valid, different state (a
+	// far warm face, full history elsewhere, a later fault clock), so a
+	// partial commit of any of it would move the next estimate.
+	valid := TargetSnapshot{FaceID: 0, HistN: 2, LastX: 90, LastY: 5, PrevX: 88, PrevY: 7, FaultNow: 6}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		edit func(*TargetSnapshot, int)
+		want string
+	}{
+		{"FaceIDPastDivision", func(s *TargetSnapshot, faces int) { s.FaceID = faces }, "face"},
+		{"FaceIDBelowCold", func(s *TargetSnapshot, _ int) { s.FaceID = -2 }, "face"},
+		{"HistNAbove2", func(s *TargetSnapshot, _ int) { s.HistN = 3 }, "histN"},
+		{"HistNNegative", func(s *TargetSnapshot, _ int) { s.HistN = -1 }, "histN"},
+		{"LastXNaN", func(s *TargetSnapshot, _ int) { s.LastX = nan }, "lastX"},
+		{"LastYInf", func(s *TargetSnapshot, _ int) { s.LastY = inf }, "lastY"},
+		{"PrevXNegInf", func(s *TargetSnapshot, _ int) { s.PrevX = -inf }, "prevX"},
+		{"PrevYNaN", func(s *TargetSnapshot, _ int) { s.PrevY = nan }, "prevY"},
+		{"FaultNowNaN", func(s *TargetSnapshot, _ int) { s.FaultNow = nan }, "faultNow"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			reqs, twinReqs := snapshotRequests(4), snapshotRequests(4)
+			live, err := NewMulti(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			twin, err := NewMulti(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := len(reqs) - 1
+			for i := 0; i < last; i++ {
+				if _, err := live.LocalizeBatch(reqs[i:i+1], 1); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := twin.LocalizeBatch(twinReqs[i:i+1], 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			id := reqs[last].ID
+			bad := valid
+			c.edit(&bad, len(live.Division().Faces))
+			if err := live.RestoreTarget(id, bad); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("restore %+v: err = %v, want one naming %s", bad, err, c.want)
+			}
+			if err := live.RestoreTarget("ghost", bad); err == nil {
+				t.Fatal("restore of an unknown target accepted the bad snapshot")
+			}
+			if got, want := live.Targets(), twin.Targets(); strings.Join(got, ",") != strings.Join(want, ",") {
+				t.Fatalf("targets after refused restores %v, want %v", got, want)
+			}
+			gotSnap, _ := live.SnapshotTarget(id)
+			wantSnap, _ := twin.SnapshotTarget(id)
+			if gotSnap != wantSnap {
+				t.Fatalf("refused restore changed the snapshot: %+v, want %+v", gotSnap, wantSnap)
+			}
+			got, err := live.LocalizeBatch(reqs[last:], 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := twin.LocalizeBatch(twinReqs[last:], 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !estimatesEqual(got[0], want[0]) {
+				t.Fatalf("next localize after refused restore:\n got %+v\nwant %+v", got[0], want[0])
+			}
+		})
+	}
+}

@@ -158,7 +158,7 @@ type Script struct {
 	Skew *Skew
 }
 
-// Validate reports script errors.
+// Validate reports script errors, a NaN in any parameter among them.
 func (s *Script) Validate() error {
 	for i, ev := range s.Events {
 		if ev.At < 0 || math.IsNaN(ev.At) {
@@ -189,7 +189,8 @@ func (s *Script) Validate() error {
 				return fmt.Errorf("faults: event %d: spoof rss is NaN", i)
 			}
 		}
-		if math.IsNaN(ev.Bias) || (ev.Pivot != nil && math.IsNaN(*ev.Pivot)) ||
+		if math.IsNaN(ev.Fraction) || math.IsNaN(ev.RecoverAt) || math.IsNaN(ev.Factor) ||
+			math.IsNaN(ev.Bias) || (ev.Pivot != nil && math.IsNaN(*ev.Pivot)) ||
 			math.IsNaN(ev.DecoyX) || math.IsNaN(ev.DecoyY) {
 			return fmt.Errorf("faults: event %d: NaN parameter", i)
 		}
@@ -199,18 +200,18 @@ func (s *Script) Validate() error {
 			name string
 			v    float64
 		}{{"pgb", b.PGoodToBad}, {"pbg", b.PBadToGood}, {"loss", b.BadLoss}} {
-			if p.v < 0 || p.v > 1 {
+			if !(p.v >= 0 && p.v <= 1) {
 				return fmt.Errorf("faults: burst %s=%v outside [0,1]", p.name, p.v)
 			}
 		}
-		if b.From < 0 {
+		if !(b.From >= 0) {
 			return fmt.Errorf("faults: burst from=%v negative", b.From)
 		}
 	}
 	if d := s.Drift; d != nil && (d.Sigma < 0 || math.IsNaN(d.Sigma)) {
 		return fmt.Errorf("faults: drift sigma=%v invalid", d.Sigma)
 	}
-	if k := s.Skew; k != nil && (k.Max < 0 || k.Slew < 0) {
+	if k := s.Skew; k != nil && !(k.Max >= 0 && k.Slew >= 0) {
 		return fmt.Errorf("faults: skew max=%v slew=%v invalid", k.Max, k.Slew)
 	}
 	return nil

@@ -5,7 +5,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"time"
 )
+
+// ReadHeaderTimeout is how long every HTTP server in the module (this
+// debug server, fttt-serve and fttt-router) waits for a request's
+// headers, so a client that opens a connection and stalls cannot pin it
+// open indefinitely.
+const ReadHeaderTimeout = 10 * time.Second
 
 // Server exposes a registry over HTTP for live inspection of a running
 // simulation:
@@ -27,7 +34,7 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 	}
 	mux := http.NewServeMux()
 	Register(mux, reg)
-	s := &Server{srv: &http.Server{Handler: mux}, ln: ln}
+	s := &Server{srv: &http.Server{Handler: mux, ReadHeaderTimeout: ReadHeaderTimeout}, ln: ln}
 	go s.srv.Serve(ln) //nolint:errcheck // ErrServerClosed on Close
 	return s, nil
 }

@@ -403,14 +403,25 @@ func (s *Server) requestContext(r *http.Request) (context.Context, context.Cance
 	return ctx, cancel, nil
 }
 
+// maxRequestBody bounds the localize and report bodies: a report of a
+// few hundred nodes over tens of sampling instants fits with room to
+// spare, and a larger body is answered 413 before it is buffered.
+const maxRequestBody = 1 << 20
+
+// decodeBounded decodes r's JSON body into v, reading at most
+// maxRequestBody bytes; an oversized body yields a *http.MaxBytesError.
+func decodeBounded(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+}
+
 func (s *Server) handleLocalize(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.session(w, r)
 	if !ok {
 		return
 	}
 	var lw LocalizeWire
-	if err := json.NewDecoder(r.Body).Decode(&lw); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad localize body: %w", err))
+	if err := decodeBounded(w, r, &lw); err != nil {
+		writeError(w, statusFor(err, http.StatusBadRequest), fmt.Errorf("serve: bad localize body: %w", err))
 		return
 	}
 	if lw.Target == "" {
@@ -433,8 +444,8 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var rw ReportWire
-	if err := json.NewDecoder(r.Body).Decode(&rw); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad report body: %w", err))
+	if err := decodeBounded(w, r, &rw); err != nil {
+		writeError(w, statusFor(err, http.StatusBadRequest), fmt.Errorf("serve: bad report body: %w", err))
 		return
 	}
 	if rw.Target == "" {
@@ -528,7 +539,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // statusFor maps serving errors to HTTP statuses; fallback covers
 // validation-style errors whose status depends on the route.
 func statusFor(err error, fallback int) int {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrOverloaded):
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrDeadline):

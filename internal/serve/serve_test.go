@@ -302,6 +302,69 @@ func TestLocalizeValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedBodiesRejected pins the body bound: a report or localize
+// body past maxRequestBody is answered 413 without being ingested, so
+// the target's next sequence number is the one it would have had.
+func TestOversizedBodiesRejected(t *testing.T) {
+	srv := New(Config{})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	client := ts.Client()
+	cfg := testConfig(5)
+	sess, err := srv.CreateSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := ts.URL + "/v1/sessions/" + sess.ID()
+	cc, err := cfg.CoreConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	smp := &sampling.Sampler{Model: cc.Model, Nodes: cc.Nodes, Range: cc.Range, Epsilon: cc.Epsilon}
+	report := func(seed uint64) ReportWire {
+		g := smp.Sample(geom.Pt(30, 30), 5, randx.New(seed))
+		return ReportWire{Target: "t", RSS: g.RSS, Reported: g.Reported}
+	}
+	ingest := func(seed uint64, wantSeq uint64) {
+		t.Helper()
+		resp := postJSON(t, client, base+"/reports", report(seed))
+		if resp.StatusCode != http.StatusOK {
+			body, _ := io.ReadAll(resp.Body)
+			t.Fatalf("report: status %d: %s", resp.StatusCode, body)
+		}
+		if ew := decodeBody[EstimateWire](t, resp); ew.Seq != wantSeq {
+			t.Fatalf("report: seq %d, want %d", ew.Seq, wantSeq)
+		}
+	}
+	ingest(1, 0)
+
+	// A well-formed report whose matrix runs just past the bound.
+	var big bytes.Buffer
+	big.WriteString(`{"target":"t","rss":[[`)
+	for big.Len() <= maxRequestBody {
+		big.WriteString("-60.5,")
+	}
+	big.WriteString(`-60.5]],"reported":[true]}`)
+	post := func(path string, body []byte) {
+		t.Helper()
+		resp, err := client.Post(base+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("oversized %s body: status %d (%s), want 413", path, resp.StatusCode, msg)
+		}
+	}
+	post("/reports", big.Bytes())
+	// The same bound guards localize; padding whitespace keeps the body
+	// valid JSON, so only its size is at fault.
+	post("/localize", append(bytes.Repeat([]byte(" "), maxRequestBody), `{"target":"t","x":1,"y":1}`...))
+
+	ingest(2, 1)
+}
+
 // TestSSEStream covers the stream lifecycle: subscribe, receive an
 // estimate event, and observe the close event + EOF when the session is
 // torn down mid-stream.

@@ -201,9 +201,9 @@ type LocalizeWire struct {
 // externally collected grouping sampling (the report-ingestion path) —
 // the k×n RSS matrix of Def. 3 plus the reported set.
 type ReportWire struct {
-	Target   string      `json:"target"`
-	RSS      [][]float64 `json:"rss"`
-	Reported []bool      `json:"reported"`
+	Target   string    `json:"target"`
+	RSS      RSSMatrix `json:"rss"`
+	Reported []bool    `json:"reported"`
 	// Epsilon overrides the session's sensing resolution for this group;
 	// nil keeps the session value.
 	Epsilon *float64 `json:"epsilon,omitempty"`
