@@ -6,7 +6,7 @@ PERF_OUT ?= BENCH_PR5.json
 PERF_BASELINE ?= results/perf/baseline.json
 
 .PHONY: build test race raceserve vet allocgate fuzz soak check bench tools clean \
-	perf perfcheck profiles docscheck trace-demo
+	perf perfcheck profiles docscheck csvcheck trace-demo
 
 build:
 	$(GO) build ./...
@@ -56,8 +56,22 @@ docscheck:
 	$(GO) vet ./...
 	$(GO) test -run 'TestPackageDocComments|TestMissingPackageDocsDetects|Example' -count 1 ./...
 
+# csvcheck is the byte-identity gate for the experiment tables that
+# results/golden does not cover: it regenerates them into a temporary
+# directory and cmps each CSV against the committed copy in results/.
+# matchcost, estimator, fig13, ablation and methods exercise the
+# exhaustive, top-M, Extended and cold-start matcher paths; lifetime
+# exercises the wsnnet energy and forwarding accounting.
+CSVCHECK_ONLY = matchcost,estimator,fig13,ablation,methods,lifetime
+
+csvcheck:
+	@tmp=$$(mktemp -d) && trap 'rm -rf $$tmp' EXIT && \
+	$(GO) run ./cmd/fttt-bench -only $(CSVCHECK_ONLY) -csv $$tmp > /dev/null && \
+	for f in $$tmp/*.csv; do cmp $$f results/$$(basename $$f) || exit 1; done && \
+	echo "csvcheck: $$(ls $$tmp/*.csv | wc -l) tables byte-identical"
+
 # check is the full local gate: what CI runs.
-check: vet build race raceserve allocgate fuzz docscheck
+check: vet build race raceserve allocgate fuzz docscheck csvcheck
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .

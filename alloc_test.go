@@ -76,11 +76,12 @@ func TestHeuristicMatchZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestMatchBatchZeroAllocs pins the batch matcher's steady-state
+// TestMatchBatchZeroAllocs pins the matcher's steady-state batch
 // contract: a warmed-up MatchBatch pass over a mixed probe spread (cold
-// + warm starts, ternary Basic vectors) performs zero heap allocations
-// when the destination slice has capacity — the SoA kernel owns all its
-// scratch.
+// + warm starts; ternary Basic lanes on the popcount kernel, Extended
+// and trust-weighted lanes on the float kernel) performs zero heap
+// allocations when the destination slice has capacity — the engine owns
+// all its scratch.
 func TestMatchBatchZeroAllocs(t *testing.T) {
 	skipUnderRace(t)
 	fieldRect := geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100))
@@ -100,17 +101,28 @@ func TestMatchBatchZeroAllocs(t *testing.T) {
 	rng := randx.New(9)
 	vs := make([]vector.Vector, 16)
 	prevs := make([]*field.Face, 16)
+	ws := make([][]float64, 16)
 	for i := range vs {
 		p := geom.Pt(rng.Uniform(5, 95), rng.Uniform(5, 95))
-		vs[i] = s.Sample(p, 5, rng.SplitN("probe", i)).Vector()
+		g := s.Sample(p, 5, rng.SplitN("probe", i))
+		vs[i] = g.Vector()
+		switch i % 4 {
+		case 1: // trust-weighted lane
+			ws[i] = make([]float64, len(vs[i]))
+			for k := range ws[i] {
+				ws[i][k] = rng.Uniform(0.05, 1)
+			}
+		case 2: // fractional Extended lane
+			vs[i] = g.ExtendedVector()
+		}
 		if i%3 != 0 {
 			prevs[i] = div.FaceAt(p)
 		}
 	}
-	m := &match.Batch{Div: div, Incremental: true}
-	out := m.MatchBatch(nil, vs, prevs) // warm scratch + result capacity
+	m := &match.Heuristic{Div: div, Incremental: true}
+	out := m.MatchBatch(nil, vs, prevs, ws) // warm scratch + result capacity
 	allocs := testing.AllocsPerRun(200, func() {
-		out = m.MatchBatch(out[:0], vs, prevs)
+		out = m.MatchBatch(out[:0], vs, prevs, ws)
 	})
 	if allocs != 0 {
 		t.Errorf("warmed-up MatchBatch allocates %.1f objects/op, want 0", allocs)

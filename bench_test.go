@@ -24,6 +24,7 @@ import (
 	"fttt/internal/randx"
 	"fttt/internal/rf"
 	"fttt/internal/sampling"
+	"fttt/internal/vector"
 )
 
 func benchParams() experiments.Params {
@@ -195,7 +196,12 @@ func matcherFixture(b *testing.B, n int) (*field.Division, []geom.Point, *sampli
 	return div, dep.Positions(), s
 }
 
-func benchMatcher(b *testing.B, n int, mk func(div *field.Division) match.Matcher) {
+// matcher is what benchMatcher drives: Exhaustive or the engine.
+type matcher interface {
+	Match(v vector.Vector, prev *field.Face) match.Result
+}
+
+func benchMatcher(b *testing.B, n int, mk func(div *field.Division) matcher) {
 	div, _, s := matcherFixture(b, n)
 	m := mk(div)
 	rng := randx.New(9)
@@ -209,19 +215,19 @@ func benchMatcher(b *testing.B, n int, mk func(div *field.Division) match.Matche
 }
 
 func BenchmarkMatcherExhaustiveN9(b *testing.B) {
-	benchMatcher(b, 9, func(d *field.Division) match.Matcher { return &match.Exhaustive{Div: d} })
+	benchMatcher(b, 9, func(d *field.Division) matcher { return &match.Exhaustive{Div: d} })
 }
 
 func BenchmarkMatcherExhaustiveN25(b *testing.B) {
-	benchMatcher(b, 25, func(d *field.Division) match.Matcher { return &match.Exhaustive{Div: d} })
+	benchMatcher(b, 25, func(d *field.Division) matcher { return &match.Exhaustive{Div: d} })
 }
 
 func BenchmarkMatcherHeuristicN9(b *testing.B) {
-	benchMatcher(b, 9, func(d *field.Division) match.Matcher { return &match.Heuristic{Div: d} })
+	benchMatcher(b, 9, func(d *field.Division) matcher { return &match.Heuristic{Div: d} })
 }
 
 func BenchmarkMatcherHeuristicN25(b *testing.B) {
-	benchMatcher(b, 25, func(d *field.Division) match.Matcher { return &match.Heuristic{Div: d} })
+	benchMatcher(b, 25, func(d *field.Division) matcher { return &match.Heuristic{Div: d} })
 }
 
 func BenchmarkSamplingVector(b *testing.B) {

@@ -152,7 +152,8 @@ func TestGoldenTraceFaulted(t *testing.T) {
 // goldenTraceBatched replays the same pinned scenario through the
 // wave-batched MultiTracker path: every trace point becomes a
 // LocalizeRequest for one target, so each point's first match runs
-// through match.Batch's SoA kernel instead of the serial Heuristic.
+// through the wave engine's central MatchBatch pass instead of the
+// target tracker's own matcher.
 // The fault-free variant submits the whole trace as a single
 // LocalizeBatch call (per-target FIFO turns it into 41 single-lane
 // waves in order); the faulted variant must advance the fault clock
@@ -207,7 +208,7 @@ func goldenTraceBatched(t *testing.T, faulted bool) []fttt.TrackedPoint {
 		for i, pos := range trace {
 			reqs[i] = core.LocalizeRequest{ID: target, Pos: pos, Rng: rng.SplitN("loc", i)}
 		}
-		ests, err := m.LocalizeBatch(reqs, 0)
+		ests, err := m.LocalizeBatch(reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +226,7 @@ func goldenTraceBatched(t *testing.T, faulted bool) []fttt.TrackedPoint {
 			sched.Seek(times[i])
 		}
 		ests, err := m.LocalizeBatch(
-			[]core.LocalizeRequest{{ID: target, Pos: pos, Rng: rng.SplitN("loc", i)}}, 0)
+			[]core.LocalizeRequest{{ID: target, Pos: pos, Rng: rng.SplitN("loc", i)}})
 		if err != nil {
 			t.Fatal(err)
 		}

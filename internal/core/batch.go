@@ -89,9 +89,10 @@ func (t *Tracker) batchBegin(r *LocalizeRequest) batchPending {
 }
 
 // batchFinish consumes the lane's centrally computed match result —
-// proven bitwise equal to what t.matcher.Match(p.v, p.prev) returns —
-// and replays the rest of the serial request: match span, warm-start
-// update, degradation policy (retries run on the tracker's own serial
+// equal to what t.matcher.MatchWeighted(p.v, p.prev, p.w) returns, since
+// both engines share one configuration and lanes are independent — and
+// replays the rest of the serial request: match span, warm-start
+// update, degradation policy (retries run on the tracker's own
 // matcher), metrics, events, and round close.
 func (t *Tracker) batchFinish(p *batchPending, r match.Result) Estimate {
 	if t.rec != nil {

@@ -106,8 +106,8 @@ type Config struct {
 	// compared in the BoundaryAblation experiment (DESIGN.md §5).
 	CustomC float64
 	// TopM, when positive, replaces the argmax estimator with the
-	// similarity-weighted mean of the M best faces (match.WeightedTopM) —
-	// the estimator ablation of DESIGN.md §5. It implies an exhaustive
+	// similarity-weighted mean of the M best faces (match.Heuristic.TopM)
+	// — the estimator ablation of DESIGN.md §5. It implies an exhaustive
 	// scan per localization.
 	TopM int
 	// StarFractionLimit, when positive, arms the degradation policy of
@@ -141,8 +141,8 @@ type Config struct {
 	// defended runs stay byte-identical across worker counts; while no
 	// node is suspect the matcher runs its unmodified path, keeping a
 	// defended honest run byte-identical to a vanilla one. Incompatible
-	// with TopM (the weighted-top-M estimator has no trust-weighted batch
-	// equivalent).
+	// with TopM (the top-M estimator is an ablation of the paper's
+	// argmax, not a defended configuration).
 	Defense *byz.Config
 	// Obs, when non-nil, receives the tracker's metrics (localizations,
 	// faces visited, fallbacks, flip/star/missing-report counts, localize
@@ -181,7 +181,7 @@ func (c Config) Validate() error {
 			return err
 		}
 		if c.Defense.Enabled && c.TopM > 0 {
-			return fmt.Errorf("core: Defense is incompatible with the TopM estimator (no trust-weighted WeightedTopM)")
+			return fmt.Errorf("core: Defense is incompatible with the TopM estimator")
 		}
 	}
 	return c.Model.Validate()
@@ -198,7 +198,7 @@ func (c Config) Validate() error {
 type Tracker struct {
 	cfg     Config
 	div     *field.Division
-	matcher match.Matcher
+	matcher *match.Heuristic
 	sampler *sampling.Sampler
 	prev    *field.Face
 	faults  *faults.Scheduler
@@ -321,24 +321,10 @@ func NewWithDivision(cfg Config, div *field.Division) (*Tracker, error) {
 		return nil, fmt.Errorf("core: division signature dimension %d does not match %d nodes (want %d pairs) — division built for a different deployment",
 			got, len(cfg.Nodes), want)
 	}
-	var m match.Matcher
-	switch {
-	case cfg.TopM > 0:
-		m = &match.WeightedTopM{Div: div, M: cfg.TopM}
-	case cfg.Exhaustive:
-		m = &match.Exhaustive{Div: div}
-	default:
-		m = &match.Heuristic{
-			Div:           div,
-			Incremental:   true, // identical results, ~3× faster per hop
-			Fallback:      cfg.FallbackBelow > 0,
-			FallbackBelow: cfg.FallbackBelow,
-		}
-	}
 	t := &Tracker{
 		cfg:     cfg,
 		div:     div,
-		matcher: m,
+		matcher: newMatcher(cfg, div),
 		sampler: &sampling.Sampler{
 			Model:      cfg.Model,
 			Nodes:      cfg.Nodes,
@@ -627,7 +613,7 @@ func (t *Tracker) localizeDegraded(g *sampling.Group, recollect func() *sampling
 // finishDegraded is localizeDegraded after the first match: the
 // degradation policy over an already computed estimate. Split out so the
 // batch engine (multi.go) can feed the first match through the central
-// SoA batch matcher and still replay the serial retry/extrapolation path
+// MatchBatch pass and still replay the serial retry/extrapolation path
 // verbatim.
 func (t *Tracker) finishDegraded(est Estimate, recollect func() *sampling.Group) Estimate {
 	lim := t.cfg.StarFractionLimit
@@ -708,10 +694,10 @@ func (t *Tracker) localizeGroup(g *sampling.Group) Estimate {
 	}
 	var r match.Result
 	if t.rec == nil {
-		r = t.matchWeighted(v, t.prev, w)
+		r = t.matcher.MatchWeighted(v, t.prev, w)
 	} else {
 		msp := t.rec.Start(t.round, "match", "match")
-		r = t.matchWeighted(v, t.prev, w)
+		r = t.matcher.MatchWeighted(v, t.prev, w)
 		endMatchSpan(msp, r)
 	}
 	if t.defense != nil {
@@ -722,22 +708,16 @@ func (t *Tracker) localizeGroup(g *sampling.Group) Estimate {
 	return t.finishMatch(v, g, r)
 }
 
-// matchWeighted dispatches one match with optional per-pair trust
-// weights. A nil w — the always case without a Defense, and the
-// honest-fleet fast path with one — runs the plain Matcher interface;
-// weighted matches go to the concrete matcher's MatchWeighted (Validate
-// rejects configurations whose matcher has none).
-func (t *Tracker) matchWeighted(v vector.Vector, prev *field.Face, w []float64) match.Result {
-	if w == nil {
-		return t.matcher.Match(v, prev)
-	}
-	switch m := t.matcher.(type) {
-	case *match.Heuristic:
-		return m.MatchWeighted(v, prev, w)
-	case *match.Exhaustive:
-		return m.MatchWeighted(v, prev, w)
-	default:
-		return t.matcher.Match(v, prev)
+// newMatcher builds the matching engine cfg selects over div. Every
+// tracker clone and the MultiTracker wave engine build theirs here, so
+// serial and batched matches share one configuration.
+func newMatcher(cfg Config, div *field.Division) *match.Heuristic {
+	return &match.Heuristic{
+		Div:           div,
+		Incremental:   true, // identical results, ~3× faster per hop
+		FallbackBelow: cfg.FallbackBelow,
+		Exhaustive:    cfg.Exhaustive,
+		TopM:          cfg.TopM,
 	}
 }
 

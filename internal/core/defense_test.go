@@ -152,8 +152,8 @@ func TestDefenseImprovesUnderCollusion(t *testing.T) {
 
 // TestDefenseBatchMatchesSerial extends the LocalizeBatch determinism
 // contract to defended trackers: with active suspects the batch engine
-// routes weighted lanes through MatchBatchWeighted, and the results
-// must stay byte-identical to serial execution for every worker count.
+// hands weighted lanes to MatchBatch, and the results must stay
+// byte-identical to serial execution through each target's tracker.
 func TestDefenseBatchMatchesSerial(t *testing.T) {
 	cfg := defendedConfig(16)
 	// A hair-trigger detector: this test pins bit-identity of the
@@ -191,11 +191,11 @@ func TestDefenseBatchMatchesSerial(t *testing.T) {
 	reqs := mkReqs()
 	want := make([]Estimate, len(reqs))
 	for i, r := range reqs {
-		est, err := ref.LocalizeBatch([]LocalizeRequest{r}, 1)
+		ts, err := ref.target(r.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = est[0]
+		want[i] = ts.tr.Localize(r.Pos, r.Rng)
 	}
 	// The faulted workload must actually trip the detector, or the
 	// weighted batch path was never compared.
@@ -213,19 +213,17 @@ func TestDefenseBatchMatchesSerial(t *testing.T) {
 		t.Fatal("no target's defense flagged a suspect; weighted batch lanes untested")
 	}
 
-	for _, workers := range []int{1, 4} {
-		m, err := NewMulti(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := m.LocalizeBatch(mkReqs(), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d request %d: %+v, want %+v", workers, i, got[i], want[i])
-			}
+	m, err := NewMulti(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.LocalizeBatch(mkReqs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("request %d: %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }

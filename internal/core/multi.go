@@ -36,17 +36,12 @@ type MultiTracker struct {
 	mu      sync.RWMutex
 	targets map[string]*targetState
 
-	// soaOK reports that LocalizeBatch may route through the wave-
-	// structured SoA batch matcher: the division carries a quantized
-	// store and the configured matcher has a batch equivalent (TopM
-	// selects a weighted estimator the batch kernel does not replicate).
-	soaOK bool
 	// batchMu serializes the batched localization path: the engine below
 	// holds every participating target's lock for the whole batch, and
 	// one-at-a-time batches keep the multi-lock acquisition trivially
 	// deadlock-free. It also guards the wave scratch.
 	batchMu   sync.Mutex
-	bm        *match.Batch
+	bm        *match.Heuristic
 	pend      []batchPending
 	laneVs    []vector.Vector
 	lanePrevs []*field.Face
@@ -81,7 +76,6 @@ func NewMulti(cfg Config) (*MultiTracker, error) {
 		base:    cfg,
 		shared:  shared,
 		targets: make(map[string]*targetState),
-		soaOK:   cfg.TopM == 0 && shared.Division().SoA() != nil,
 	}
 	if cfg.Obs != nil {
 		m.metrics = &multiMetrics{
@@ -248,18 +242,13 @@ type LocalizeRequest struct {
 // primitive the serving micro-batcher (internal/serve) coalesces
 // concurrent localize calls into.
 //
-// When the shared division carries a quantized SoA signature store and
-// the configured matcher has a batch equivalent (every config except
-// TopM > 0), the batch executes as waves: one pending request per
-// target per wave runs its sampling, then a single match.Batch pass
-// scores every wave lane's first match against the SoA store —
-// bitwise-identical to the per-lane serial matcher by the batch
-// kernel's differential contract — and each lane then completes its
-// round (degradation retries use the lane's own serial matcher).
-// Otherwise distinct targets fan across a pool of workers (≤ 0 selects
-// runtime.NumCPU(); 1 is serial) exactly as before; workers is ignored
-// on the wave path.
-func (m *MultiTracker) LocalizeBatch(reqs []LocalizeRequest, workers int) ([]Estimate, error) {
+// The batch executes as waves: one pending request per target per wave
+// runs its sampling, then a single MatchBatch pass of the shared
+// matching engine scores every wave lane's first match — the same
+// engine and configuration every target's tracker matches with, and
+// lanes are independent — and each lane then completes its round
+// (degradation retries use the lane's own tracker).
+func (m *MultiTracker) LocalizeBatch(reqs []LocalizeRequest) ([]Estimate, error) {
 	states := make(map[string]*targetState, len(reqs))
 	order := make([]string, 0, len(reqs))
 	byTarget := make(map[string][]int, len(reqs))
@@ -291,39 +280,13 @@ func (m *MultiTracker) LocalizeBatch(reqs []LocalizeRequest, workers int) ([]Est
 			rec.Link(batchSpan.Ref(), reqs[i].Span)
 		}
 	}
-	if m.soaOK {
-		m.localizeBatchWaves(reqs, states, order, byTarget, ests)
-	} else {
-		m.localizeBatchFanOut(reqs, states, order, byTarget, ests, workers)
-	}
+	m.localizeBatchWaves(reqs, states, order, byTarget, ests)
 	batchSpan.End()
 	return ests, nil
 }
 
-// localizeBatchFanOut is the pre-SoA execution strategy: distinct
-// targets fan across a worker pool, each running its requests serially
-// through the per-target tracker (and its serial matcher).
-func (m *MultiTracker) localizeBatchFanOut(reqs []LocalizeRequest, states map[string]*targetState, order []string, byTarget map[string][]int, ests []Estimate, workers int) {
-	fanOut(len(order), workers, func(ti int) {
-		id := order[ti]
-		ts := states[id]
-		ts.mu.Lock()
-		for _, ri := range byTarget[id] {
-			r := reqs[ri]
-			ts.tr.SetRequestSpan(r.Span)
-			if r.Group != nil {
-				ests[ri] = ts.tr.LocalizeGroup(r.Group)
-			} else {
-				ests[ri] = ts.tr.Localize(r.Pos, r.Rng)
-			}
-		}
-		ts.tr.SetRequestSpan(obs.SpanRef{})
-		ts.mu.Unlock()
-	})
-}
-
-// localizeBatchWaves executes the batch through the shared SoA batch
-// matcher. Requests are organized into waves holding at most one
+// localizeBatchWaves executes the batch through the shared matching
+// engine. Requests are organized into waves holding at most one
 // request per target (per-target FIFO preserved: wave w takes each
 // target's w-th request), because a request's completion phase can
 // mutate per-target state the target's next request must observe — the
@@ -338,16 +301,7 @@ func (m *MultiTracker) localizeBatchWaves(reqs []LocalizeRequest, states map[str
 	m.batchMu.Lock()
 	defer m.batchMu.Unlock()
 	if m.bm == nil {
-		// Mirror NewWithDivision's serial matcher knobs exactly: the
-		// batch kernel's bitwise-identity contract is per matching
-		// configuration.
-		m.bm = &match.Batch{
-			Div:           m.shared.Division(),
-			Incremental:   true,
-			Fallback:      m.base.FallbackBelow > 0,
-			FallbackBelow: m.base.FallbackBelow,
-			Exhaustive:    m.base.Exhaustive,
-		}
+		m.bm = newMatcher(m.base, m.shared.Division())
 	}
 	for _, id := range order {
 		states[id].mu.Lock()
@@ -379,9 +333,8 @@ func (m *MultiTracker) localizeBatchWaves(reqs []LocalizeRequest, states map[str
 			break
 		}
 		// Weighted lanes (a defense with active suspects) take the float
-		// replay path; nil-weight lanes run the unweighted kernels, so
-		// without a Defense this is exactly MatchBatch.
-		m.laneRes = m.bm.MatchBatchWeighted(m.laneRes[:0], vs, prevs, ws)
+		// kernel; nil-weight lanes are plain unweighted matches.
+		m.laneRes = m.bm.MatchBatch(m.laneRes[:0], vs, prevs, ws)
 		for i := range pend {
 			p := &pend[i]
 			ests[p.reqIdx] = p.tr.batchFinish(p, m.laneRes[i])

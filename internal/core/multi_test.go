@@ -5,10 +5,12 @@ import (
 	"sync"
 	"testing"
 
+	"fttt/internal/field"
 	"fttt/internal/geom"
 	"fttt/internal/randx"
 	"fttt/internal/sampling"
 	"fttt/internal/stats"
+	"fttt/internal/vector"
 )
 
 func TestMultiTrackerTracksTwoTargets(t *testing.T) {
@@ -368,12 +370,14 @@ func TestTrackParallelMatchesSerial(t *testing.T) {
 
 func TestLocalizeBatchMatchesSerial(t *testing.T) {
 	// The serving determinism contract: LocalizeBatch must be
-	// byte-identical to executing the requests one at a time in slice
-	// order, for every worker count — including batches where one target
-	// appears several times (per-target FIFO) and mixed Pos/Group
-	// requests.
-	cfg := defaultConfig(16)
-	s := &sampling.Sampler{Model: cfg.Model, Nodes: cfg.Nodes, Range: cfg.Range, Epsilon: cfg.Epsilon}
+	// byte-identical to executing the requests one at a time through
+	// each target's own tracker, in slice order — including batches
+	// where one target appears several times (per-target FIFO) and mixed
+	// Pos/Group requests — for every matcher configuration: the default
+	// search, the exhaustive scan, the fallback rescan, the top-M
+	// estimator, and a division without a quantized SoA store.
+	base := defaultConfig(16)
+	s := &sampling.Sampler{Model: base.Model, Nodes: base.Nodes, Range: base.Range, Epsilon: base.Epsilon}
 	root := randx.New(23)
 
 	mkReqs := func() []LocalizeRequest {
@@ -386,7 +390,7 @@ func TestLocalizeBatchMatchesSerial(t *testing.T) {
 			pos := geom.Pt(10+float64((i*7)%80), 10+float64((i*13)%80))
 			if i%4 == 3 {
 				// Report-ingestion path: an externally collected group.
-				g := s.Sample(pos, cfg.SamplingTimes, root.Split(id).SplitN("grp", n))
+				g := s.Sample(pos, base.SamplingTimes, root.Split(id).SplitN("grp", n))
 				reqs = append(reqs, LocalizeRequest{ID: id, Group: g})
 			} else {
 				reqs = append(reqs, LocalizeRequest{
@@ -398,44 +402,99 @@ func TestLocalizeBatchMatchesSerial(t *testing.T) {
 		return reqs
 	}
 
-	// Serial reference: a fresh MultiTracker, one request at a time.
-	ref, err := NewMulti(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := mkReqs()
-	want := make([]Estimate, len(reqs))
-	for i, r := range reqs {
-		est, err := ref.LocalizeBatch([]LocalizeRequest{r}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = est[0]
-	}
-
-	for _, workers := range []int{1, 2, 4, 0} {
-		m, err := NewMulti(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := m.LocalizeBatch(mkReqs(), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d request %d: %+v, want %+v", workers, i, got[i], want[i])
+	configs := map[string]func(c *Config){
+		"heuristic":  func(c *Config) {},
+		"exhaustive": func(c *Config) { c.Exhaustive = true },
+		"fallback":   func(c *Config) { c.FallbackBelow = 0.5 },
+		"topm":       func(c *Config) { c.TopM = 3 },
+		"extended":   func(c *Config) { c.Variant = Extended },
+		"no-soa": func(c *Config) {
+			c.Divider = func(spec field.Spec) (*field.Division, error) {
+				rc, err := field.NewRatioClassifier(spec.Nodes, spec.C)
+				if err != nil {
+					return nil, err
+				}
+				return field.Divide(spec.Field, unquantizable{rc}, spec.CellSize)
 			}
-		}
+		},
+	}
+	for name, edit := range configs {
+		t.Run(name, func(t *testing.T) {
+			cfg := base
+			edit(&cfg)
+			ref, err := NewMulti(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if name == "no-soa" && ref.Division().SoA() != nil {
+				t.Fatal("custom classifier still produced a SoA store")
+			}
+			reqs := mkReqs()
+			want := make([]Estimate, len(reqs))
+			for i, r := range reqs {
+				ts, err := ref.target(r.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Group != nil {
+					want[i] = ts.tr.LocalizeGroup(r.Group)
+				} else {
+					want[i] = ts.tr.Localize(r.Pos, r.Rng)
+				}
+			}
+			m, err := NewMulti(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One whole batch, then the same requests split into batches
+			// of seven.
+			got, err := m.LocalizeBatch(mkReqs())
+			if err != nil {
+				t.Fatal(err)
+			}
+			split, err := NewMulti(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all := mkReqs()
+			for lo := 0; lo < len(all); lo += 7 {
+				ests, err := split.LocalizeBatch(all[lo:min(lo+7, len(all))])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range ests {
+					if ests[i] != want[lo+i] {
+						t.Fatalf("split request %d: %+v, want %+v", lo+i, ests[i], want[lo+i])
+					}
+				}
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("request %d: %+v, want %+v", i, got[i], want[i])
+				}
+			}
+		})
 	}
 
 	// Error cases: empty target ID, and a request with neither Group nor
 	// stream.
-	m, _ := NewMulti(cfg)
-	if _, err := m.LocalizeBatch([]LocalizeRequest{{ID: "", Rng: root}}, 1); err == nil {
+	m, _ := NewMulti(base)
+	if _, err := m.LocalizeBatch([]LocalizeRequest{{ID: "", Rng: root}}); err == nil {
 		t.Error("empty target ID should fail")
 	}
-	if _, err := m.LocalizeBatch([]LocalizeRequest{{ID: "x"}}, 1); err == nil {
+	if _, err := m.LocalizeBatch([]LocalizeRequest{{ID: "x"}}); err == nil {
 		t.Error("request with neither Group nor Rng should fail")
 	}
+}
+
+// unquantizable wraps a classifier and replaces pair (0, 1) with a value
+// no int8 denominator represents, so the division carries no SoA store
+// and every match takes the float kernel over Face.Signature.
+type unquantizable struct{ field.PairClassifier }
+
+func (u unquantizable) Classify(p geom.Point, i, j int) vector.Value {
+	if i == 0 && j == 1 {
+		return vector.Value(0.123456789)
+	}
+	return u.PairClassifier.Classify(p, i, j)
 }

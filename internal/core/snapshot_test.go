@@ -73,7 +73,7 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 	// streams, hence the rebuild below).
 	wantAll := make([]Estimate, len(reqs))
 	for i := range reqs {
-		ests, err := ref.LocalizeBatch(reqs[i:i+1], 1)
+		ests, err := ref.LocalizeBatch(reqs[i : i+1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < split; i++ {
-			if _, err := src.LocalizeBatch(reqs[i:i+1], 1); err != nil {
+			if _, err := src.LocalizeBatch(reqs[i : i+1]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -105,7 +105,7 @@ func TestSnapshotRestoreByteIdentical(t *testing.T) {
 			}
 		}
 		for i := split; i < len(reqs); i++ {
-			ests, err := dst.LocalizeBatch(reqs[i:i+1], 1)
+			ests, err := dst.LocalizeBatch(reqs[i : i+1])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +128,7 @@ func TestSnapshotRestoreFaultClock(t *testing.T) {
 	}
 	reqs := snapshotRequests(6)
 	for i := range reqs {
-		if _, err := src.LocalizeBatch(reqs[i:i+1], 1); err != nil {
+		if _, err := src.LocalizeBatch(reqs[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -224,10 +224,10 @@ func TestRestoreRejectsWithoutSideEffects(t *testing.T) {
 			}
 			last := len(reqs) - 1
 			for i := 0; i < last; i++ {
-				if _, err := live.LocalizeBatch(reqs[i:i+1], 1); err != nil {
+				if _, err := live.LocalizeBatch(reqs[i : i+1]); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := twin.LocalizeBatch(twinReqs[i:i+1], 1); err != nil {
+				if _, err := twin.LocalizeBatch(twinReqs[i : i+1]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -248,11 +248,11 @@ func TestRestoreRejectsWithoutSideEffects(t *testing.T) {
 			if gotSnap != wantSnap {
 				t.Fatalf("refused restore changed the snapshot: %+v, want %+v", gotSnap, wantSnap)
 			}
-			got, err := live.LocalizeBatch(reqs[last:], 1)
+			got, err := live.LocalizeBatch(reqs[last:])
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := twin.LocalizeBatch(twinReqs[last:], 1)
+			want, err := twin.LocalizeBatch(twinReqs[last:])
 			if err != nil {
 				t.Fatal(err)
 			}

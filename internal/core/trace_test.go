@@ -83,7 +83,7 @@ func TestTraceGoldenUnderFaults(t *testing.T) {
 }
 
 // TestTraceRecorderRaceUnderBatch hammers one shared Recorder from
-// concurrent LocalizeBatch rounds (distinct targets fan across workers,
+// concurrent LocalizeBatch rounds (batches serialize on the wave lock,
 // shared targets contend on the per-target lock) while other goroutines
 // snapshot Records() mid-flight. Run under -race by the raceserve CI
 // job; correctness assertions are minimal — the instrumented interleaving
@@ -117,7 +117,7 @@ func TestTraceRecorderRaceUnderBatch(t *testing.T) {
 						Rng: root.Split(fmt.Sprintf("g%d/b%d/r%d", g, b, i)),
 					}
 				}
-				if _, err := m.LocalizeBatch(reqs, 0); err != nil {
+				if _, err := m.LocalizeBatch(reqs); err != nil {
 					t.Error(err)
 					return
 				}
@@ -178,7 +178,7 @@ func TestTraceRoundSpanTree(t *testing.T) {
 	reqRef := reqSpan.Ref()
 	_, err = m.LocalizeBatch([]LocalizeRequest{{
 		ID: "t0", Pos: geom.Pt(40, 60), Rng: randx.New(7), Span: reqRef,
-	}}, 1)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,17 +8,15 @@ import (
 
 // SigSoA is the division's structure-of-arrays signature store: every
 // face signature quantized to int8 (vector.Quantize, lossless by
-// construction) and laid out contiguously so the batch matcher
-// (internal/match.Batch) streams it with blocked loops instead of
-// chasing per-face float64 slices.
+// construction) and laid out contiguously, so the matcher's popcount
+// kernel (internal/match) streams packed words instead of chasing
+// per-face float64 slices.
 //
-// Three derived views share the one quantized truth:
+// Two views share the one quantized truth:
 //
-//   - Cols holds one contiguous column per node pair: Cols[k*NumFaces+f]
-//     is component k of face f's signature. Scanning all faces at one
-//     component is a unit-stride walk.
-//   - Rows is the row-major transpose: Rows[f*Dim+k]. Scanning one
-//     face's whole signature is a unit-stride walk.
+//   - Rows is row-major: Rows[f*Dim+k] is component k of face f's
+//     signature. Scanning one face's whole signature is a unit-stride
+//     walk.
 //   - PosBits/NegBits are two bitplanes over Rows for ternary
 //     signatures: bit k of face f's Words-word block is set in PosBits
 //     iff the component is +1, in NegBits iff it is −1 (0 sets
@@ -36,8 +34,6 @@ type SigSoA struct {
 	// (vector.Dequantize). Ternary divisions — every division the
 	// RatioClassifier builds — have Denom 1.
 	Denom int
-	// Cols is the column-major (pair-major) view: Cols[k*NumFaces+f].
-	Cols []int8
 	// Rows is the row-major (face-major) view: Rows[f*Dim+k].
 	Rows []int8
 	// Words is the per-face bitplane word count: ⌈Dim/64⌉.
@@ -74,7 +70,6 @@ func buildSigSoA(faces []Face) *SigSoA {
 		NumFaces: len(faces),
 		Dim:      dim,
 		Denom:    denom,
-		Cols:     make([]int8, dim*len(faces)),
 		Rows:     make([]int8, len(faces)*dim),
 		Words:    (dim + 63) / 64,
 	}
@@ -83,24 +78,6 @@ func buildSigSoA(faces []Face) *SigSoA {
 		// appends land in place in Rows without reallocating.
 		if _, err := vector.QuantizeVector(s.Rows[f*dim:f*dim:(f+1)*dim], sig, denom); err != nil {
 			return nil // CommonDenominator vouched for every value; defensive
-		}
-	}
-	// Tiled transpose Rows → Cols: a naive double loop strides one of
-	// the two slabs by thousands of bytes per write, missing cache on
-	// every element. Square tiles keep both the 64-byte column runs and
-	// the tile's rows resident while they are traded.
-	const tile = 64
-	nf := len(faces)
-	for k0 := 0; k0 < dim; k0 += tile {
-		k1 := min(k0+tile, dim)
-		for f0 := 0; f0 < nf; f0 += tile {
-			f1 := min(f0+tile, nf)
-			for k := k0; k < k1; k++ {
-				col := s.Cols[k*nf : (k+1)*nf]
-				for f := f0; f < f1; f++ {
-					col[f] = s.Rows[f*dim+k]
-				}
-			}
 		}
 	}
 	// Bitplanes require pure ternary content: a Star component (legal in
@@ -139,9 +116,6 @@ func (s *SigSoA) Signature(dst vector.Vector, f int) vector.Vector {
 	return vector.DequantizeVector(dst, s.Rows[f*s.Dim:(f+1)*s.Dim], s.Denom)
 }
 
-// FaceRow returns face f's row-major quantized signature codes.
-func (s *SigSoA) FaceRow(f int) []int8 { return s.Rows[f*s.Dim : (f+1)*s.Dim] }
-
 // FacePlanes returns face f's bitplane block (positives, negatives), or
 // (nil, nil) when the store has no bitplanes.
 func (s *SigSoA) FacePlanes(f int) (pos, neg []uint64) {
@@ -157,7 +131,7 @@ func (s *SigSoA) ApproxBytes() int64 {
 	if s == nil {
 		return 0
 	}
-	return int64(len(s.Cols)) + int64(len(s.Rows)) +
+	return int64(len(s.Rows)) +
 		8*(int64(len(s.PosBits))+int64(len(s.NegBits)))
 }
 

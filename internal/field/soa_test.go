@@ -10,7 +10,7 @@ import (
 )
 
 // TestSoASignatureEquality is the SoA-vs-AoS property over seeded
-// random deployments: every face's quantized row and column decode to
+// random deployments: every face's quantized row decodes to
 // exactly the AoS Face.Signature, the bitplanes agree component by
 // component, and the popcount distance kernel reproduces the float
 // Def. 8 squared distance for ternary queries.
@@ -38,9 +38,6 @@ func TestSoASignatureEquality(t *testing.T) {
 				}
 				pos, neg := s.FacePlanes(f)
 				for k := 0; k < s.Dim; k++ {
-					if got := s.Cols[k*s.NumFaces+f]; got != s.Rows[f*s.Dim+k] {
-						t.Fatalf("face %d comp %d: col code %d != row code %d", f, k, got, s.Rows[f*s.Dim+k])
-					}
 					wantPos := aos[k] == vector.Nearer
 					wantNeg := aos[k] == vector.Farther
 					if gotPos := pos[k/64]&(1<<(k%64)) != 0; gotPos != wantPos {
@@ -153,7 +150,7 @@ func TestSoASurvivesSaveLoad(t *testing.T) {
 	if a.NumFaces != b.NumFaces || a.Dim != b.Dim || a.Denom != b.Denom || a.Words != b.Words {
 		t.Fatalf("header mismatch: %+v vs %+v", a, b)
 	}
-	if !bytes.Equal(int8Bytes(a.Cols), int8Bytes(b.Cols)) || !bytes.Equal(int8Bytes(a.Rows), int8Bytes(b.Rows)) {
+	if !bytes.Equal(int8Bytes(a.Rows), int8Bytes(b.Rows)) {
 		t.Fatal("quantized codes differ after Save/Load")
 	}
 	for i := range a.PosBits {

@@ -15,7 +15,7 @@ import (
 )
 
 // requireIdenticalResult asserts two Results agree bit for bit — the
-// MatchBatch contract. Similarity and the estimate coordinates are
+// engine's contract against its oracles. Similarity and the estimate coordinates are
 // compared through Float64bits so a "same value, different rounding
 // path" drift cannot hide behind ==.
 func requireIdenticalResult(t *testing.T, label string, want, got Result) {
@@ -80,10 +80,10 @@ func batchProbes(t *testing.T, div *field.Division, nodes []geom.Point, seed uin
 	return vs, prevs
 }
 
-// TestMatchBatchEquivalentHeuristic is the headline differential: batch
-// results must be byte-identical to the serial Heuristic across warm
-// starts, incremental on/off, and every way of splitting the same lanes
-// into batches.
+// TestMatchBatchEquivalentHeuristic is the headline differential: the
+// engine's results must be byte-identical to the reference search
+// (refHeuristic) across warm starts, incremental on/off, serial Match,
+// and every way of splitting the same lanes into batches.
 func TestMatchBatchEquivalentHeuristic(t *testing.T) {
 	div := buildDivision(t, 16, 2)
 	if div.SoA() == nil {
@@ -93,17 +93,20 @@ func TestMatchBatchEquivalentHeuristic(t *testing.T) {
 	vs, prevs := batchProbes(t, div, nodes, 42, 48)
 	for _, incremental := range []bool{false, true} {
 		t.Run(fmt.Sprintf("incremental=%v", incremental), func(t *testing.T) {
-			serial := &Heuristic{Div: div, Incremental: incremental}
+			ref := &refHeuristic{Div: div, Incremental: incremental}
 			want := make([]Result, len(vs))
 			for i := range vs {
-				want[i] = serial.Match(vs[i], prevs[i])
+				want[i] = ref.Match(vs[i], prevs[i], nil)
 			}
-			b := &Batch{Div: div, Incremental: incremental}
+			b := &Heuristic{Div: div, Incremental: incremental}
+			for i := range vs {
+				requireIdenticalResult(t, fmt.Sprintf("serial lane=%d", i), want[i], b.Match(vs[i], prevs[i]))
+			}
 			for _, split := range []int{len(vs), 1, 7} {
 				var got []Result
 				for lo := 0; lo < len(vs); lo += split {
 					hi := min(lo+split, len(vs))
-					got = b.MatchBatch(got, vs[lo:hi], prevs[lo:hi])
+					got = b.MatchBatch(got, vs[lo:hi], prevs[lo:hi], nil)
 				}
 				for i := range vs {
 					requireIdenticalResult(t, fmt.Sprintf("split=%d lane=%d", split, i), want[i], got[i])
@@ -113,16 +116,16 @@ func TestMatchBatchEquivalentHeuristic(t *testing.T) {
 	}
 }
 
-// TestMatchBatchEquivalentExhaustive covers the Exhaustive lane
-// semantics, including maximum-similarity ties and their averaged
-// estimates.
+// TestMatchBatchEquivalentExhaustive covers the engine's scan against
+// the Exhaustive oracle, including maximum-similarity ties and their
+// averaged estimates.
 func TestMatchBatchEquivalentExhaustive(t *testing.T) {
 	div := buildDivision(t, 16, 2)
 	nodes := gridNodes(t, 16)
 	vs, prevs := batchProbes(t, div, nodes, 7, 48)
 	ex := &Exhaustive{Div: div}
-	b := &Batch{Div: div, Exhaustive: true}
-	got := b.MatchBatch(nil, vs, prevs)
+	b := &Heuristic{Div: div, Exhaustive: true}
+	got := b.MatchBatch(nil, vs, prevs, nil)
 	sawTie := false
 	for i := range vs {
 		want := ex.Match(vs[i], prevs[i])
@@ -136,18 +139,18 @@ func TestMatchBatchEquivalentExhaustive(t *testing.T) {
 	}
 }
 
-// TestMatchBatchEquivalentFallback forces the below-threshold
-// exhaustive rescan and checks the combined statistics match.
+// TestMatchBatchEquivalentFallback forces the below-threshold rescan
+// and checks the combined statistics match the reference's.
 func TestMatchBatchEquivalentFallback(t *testing.T) {
 	div := buildDivision(t, 16, 2)
 	nodes := gridNodes(t, 16)
 	vs, prevs := batchProbes(t, div, nodes, 11, 24)
-	serial := &Heuristic{Div: div, Incremental: true, Fallback: true, FallbackBelow: 1e9}
-	b := &Batch{Div: div, Incremental: true, Fallback: true, FallbackBelow: 1e9}
-	got := b.MatchBatch(nil, vs, prevs)
+	ref := &refHeuristic{Div: div, Incremental: true, FallbackBelow: 1e9}
+	b := &Heuristic{Div: div, Incremental: true, FallbackBelow: 1e9}
+	got := b.MatchBatch(nil, vs, prevs, nil)
 	fellBack := 0
 	for i := range vs {
-		want := serial.Match(vs[i], prevs[i])
+		want := ref.Match(vs[i], prevs[i], nil)
 		if want.FellBack {
 			fellBack++ // exact-signature lanes (+Inf similarity) never fall back
 		}
@@ -158,9 +161,9 @@ func TestMatchBatchEquivalentFallback(t *testing.T) {
 	}
 }
 
-// TestMatchBatchNoSoAFallsBackToSerial pins the AoS escape hatch: a
-// division without a quantized store still batch-matches, via the
-// serial matchers.
+// TestMatchBatchNoSoAFallsBackToSerial pins the AoS path: a division
+// without a quantized store still matches, on the float kernel over
+// Face.Signature.
 func TestMatchBatchNoSoAFallsBackToSerial(t *testing.T) {
 	div, err := field.Divide(geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10)), fracClassifier{}, 2)
 	if err != nil {
@@ -170,10 +173,9 @@ func TestMatchBatchNoSoAFallsBackToSerial(t *testing.T) {
 		t.Fatal("expected an unquantizable division")
 	}
 	v := vector.Vector{0.25}
-	serial := &Heuristic{Div: div}
-	want := serial.Match(v, nil)
-	b := &Batch{Div: div}
-	got := b.MatchBatch(nil, []vector.Vector{v}, nil)
+	want := (&refHeuristic{Div: div}).Match(v, nil, nil)
+	b := &Heuristic{Div: div}
+	got := b.MatchBatch(nil, []vector.Vector{v}, nil, nil)
 	requireIdenticalResult(t, "aos-fallback", want, got[0])
 }
 
@@ -190,7 +192,7 @@ func (fracClassifier) Classify(p geom.Point, i, j int) vector.Value {
 // contain Star: the store carries no bitplanes (a stored Star would
 // alias 0 in the integer kernel), so every lane — even pure-ternary
 // queries — must take the float kernel and still agree with the serial
-// matchers bit for bit.
+// oracles bit for bit.
 func TestMatchBatchStarSignatureFloatPath(t *testing.T) {
 	div, err := field.Divide(geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10)), starSigClassifier{}, 2)
 	if err != nil {
@@ -206,14 +208,14 @@ func TestMatchBatchStarSignatureFloatPath(t *testing.T) {
 	}
 	prevs := []*field.Face{nil, &div.Faces[0], nil}
 	for _, exhaustive := range []bool{false, true} {
-		b := &Batch{Div: div, Incremental: true, Exhaustive: exhaustive}
-		got := b.MatchBatch(nil, vs, prevs)
+		b := &Heuristic{Div: div, Incremental: true, Exhaustive: exhaustive}
+		got := b.MatchBatch(nil, vs, prevs, nil)
 		for i := range vs {
 			var want Result
 			if exhaustive {
 				want = (&Exhaustive{Div: div}).Match(vs[i], prevs[i])
 			} else {
-				want = (&Heuristic{Div: div, Incremental: true}).Match(vs[i], prevs[i])
+				want = (&refHeuristic{Div: div, Incremental: true}).Match(vs[i], prevs[i], nil)
 			}
 			requireIdenticalResult(t, fmt.Sprintf("exhaustive=%v lane=%d", exhaustive, i), want, got[i])
 		}
@@ -242,26 +244,24 @@ func gridNodes(t *testing.T, n int) []geom.Point {
 }
 
 // BenchmarkMatchBatch64 prices one MatchBatch pass over 64 ternary
-// lanes on the paper-sized fixture; compare per-vector against
-// BenchmarkMatchSerial64 (the same 64 lanes, serial Heuristic) for the
-// layout speedup the perfbench match/heuristic-batch64 scenario gates.
+// lanes on the paper-sized fixture; per vector it should read close to
+// BenchmarkMatchSerialIncr64 (the same 64 lanes through Match), since a
+// serial match is the one-lane batch.
 func BenchmarkMatchBatch64(b *testing.B) {
 	vs, prevs, div := benchLanes64(b)
-	m := &Batch{Div: div, Incremental: true}
-	out := m.MatchBatch(nil, vs, prevs) // warm scratch + result capacity
+	m := &Heuristic{Div: div, Incremental: true}
+	out := m.MatchBatch(nil, vs, prevs, nil) // warm scratch + result capacity
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out = m.MatchBatch(out[:0], vs, prevs)
+		out = m.MatchBatch(out[:0], vs, prevs, nil)
 	}
 	sink = out
 }
 
 // BenchmarkMatchSerial64 runs the same 64 lanes through the default
-// serial Heuristic (the match/heuristic perfbench configuration);
-// BenchmarkMatchSerialIncr64 through the incremental variant. The
-// batch-vs-serial per-vector ratio these report is the >4× layout claim
-// in EXPERIMENTS.md.
+// Heuristic.Match (the match/heuristic perfbench configuration);
+// BenchmarkMatchSerialIncr64 through the incremental variant.
 func BenchmarkMatchSerial64(b *testing.B) {
 	benchSerial64(b, false)
 }
@@ -321,12 +321,12 @@ func TestMatchBatchResultSliceReuse(t *testing.T) {
 	div := buildDivision(t, 9, 2)
 	nodes := gridNodes(t, 9)
 	vs, prevs := batchProbes(t, div, nodes, 3, 8)
-	b := &Batch{Div: div, Incremental: true}
-	first := b.MatchBatch(nil, vs, prevs)
+	b := &Heuristic{Div: div, Incremental: true}
+	first := b.MatchBatch(nil, vs, prevs, nil)
 	snapshot := make([]Result, len(first))
 	copy(snapshot, first)
-	_ = b.MatchBatch(first[:0], vs, prevs)
-	again := b.MatchBatch(nil, vs, prevs)
+	_ = b.MatchBatch(first[:0], vs, prevs, nil)
+	again := b.MatchBatch(nil, vs, prevs, nil)
 	for i := range again {
 		requireIdenticalResult(t, fmt.Sprintf("lane=%d", i), snapshot[i], again[i])
 	}

@@ -45,12 +45,13 @@ func decodeValue(b byte) vector.Value {
 	}
 }
 
-// FuzzMatchBatchEquivalence is the batch matcher's differential fuzz
-// target: arbitrary legal sampling vectors (ternary, Star and Def. 10
-// fractional values), arbitrary warm starts, batch sizes and split
-// points must produce results byte-identical to the serial matchers —
-// same face IDs, bitwise-equal similarity and estimate, same search
-// statistics — in both heuristic and exhaustive modes.
+// FuzzMatchBatchEquivalence is the engine's differential fuzz target:
+// arbitrary legal sampling vectors (ternary, Star and Def. 10
+// fractional values), arbitrary warm starts and trust weights, batch
+// sizes and split points must produce results byte-identical to the
+// oracles — refHeuristic in search mode, Exhaustive in scan mode — with
+// the same face IDs, bitwise-equal similarity and estimate, and the same
+// search statistics.
 func FuzzMatchBatchEquivalence(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5, 0, 1, 2}, uint16(0), uint8(4), false)
 	f.Add([]byte{3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3}, uint16(7), uint8(1), true)
@@ -61,6 +62,7 @@ func FuzzMatchBatchEquivalence(f *testing.F) {
 		lanes := 1 + int(nlanes)%8
 		vs := make([]vector.Vector, lanes)
 		prevs := make([]*field.Face, lanes)
+		ws := make([][]float64, lanes)
 		for l := 0; l < lanes; l++ {
 			v := make(vector.Vector, dim)
 			for k := 0; k < dim; k++ {
@@ -72,25 +74,27 @@ func FuzzMatchBatchEquivalence(f *testing.F) {
 				}
 			}
 			vs[l] = v
+			if l%3 == 2 { // a trust-weighted lane, weights in (0, 1]
+				ws[l] = make([]float64, dim)
+				for k := range ws[l] {
+					ws[l][k] = float64(1+(int(warm)+l*dim+k)%16) / 16
+				}
+			}
 			if l%2 == 0 {
 				prevs[l] = &div.Faces[(int(warm)+l)%div.NumFaces()]
 			}
 		}
 
 		want := make([]Result, lanes)
-		if exhaustive {
-			ex := &Exhaustive{Div: div}
-			for l := range vs {
-				want[l] = ex.Match(vs[l], prevs[l])
-			}
-		} else {
-			serial := &Heuristic{Div: div, Incremental: true}
-			for l := range vs {
-				want[l] = serial.Match(vs[l], prevs[l])
+		for l := range vs {
+			if exhaustive {
+				want[l] = (&Exhaustive{Div: div}).MatchWeighted(vs[l], prevs[l], ws[l])
+			} else {
+				want[l] = (&refHeuristic{Div: div, Incremental: true}).Match(vs[l], prevs[l], ws[l])
 			}
 		}
 
-		b := &Batch{Div: div, Incremental: true, Exhaustive: exhaustive}
+		b := &Heuristic{Div: div, Incremental: true, Exhaustive: exhaustive}
 		// One whole-batch pass plus a split at a data-derived point:
 		// regrouping the same lanes must not change a single bit.
 		split := 1 + int(warm)%lanes
@@ -99,7 +103,7 @@ func FuzzMatchBatchEquivalence(f *testing.F) {
 			if lo == hi {
 				continue
 			}
-			got := b.MatchBatch(nil, vs[lo:hi], prevs[lo:hi])
+			got := b.MatchBatch(nil, vs[lo:hi], prevs[lo:hi], ws[lo:hi])
 			for l := range got {
 				w, g := want[lo+l], got[l]
 				if w.Face != g.Face ||
@@ -108,7 +112,7 @@ func FuzzMatchBatchEquivalence(f *testing.F) {
 					math.Float64bits(w.Estimate.Y) != math.Float64bits(g.Estimate.Y) ||
 					w.Tied != g.Tied || w.Visited != g.Visited ||
 					w.Rounds != g.Rounds || w.FellBack != g.FellBack {
-					t.Fatalf("lane %d (of [%d:%d], exhaustive=%v): batch %+v, serial %+v",
+					t.Fatalf("lane %d (of [%d:%d], exhaustive=%v): engine %+v, oracle %+v",
 						lo+l, lo, hi, exhaustive, g, w)
 				}
 			}

@@ -3,6 +3,7 @@ package match
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"testing"
 
@@ -153,7 +154,7 @@ func TestHeuristicColdStart(t *testing.T) {
 func TestHeuristicFallback(t *testing.T) {
 	div := buildDivision(t, 9, 2)
 	noFB := &Heuristic{Div: div}
-	fb := &Heuristic{Div: div, Fallback: true, FallbackBelow: math.Inf(1)}
+	fb := &Heuristic{Div: div, FallbackBelow: math.Inf(1)}
 	// With an infinite threshold the fallback always fires, so the result
 	// must equal the exhaustive answer.
 	ex := &Exhaustive{Div: div}
@@ -213,7 +214,7 @@ func TestMatchersAgreeOnExactSignatures(t *testing.T) {
 func TestWeightedTopMOneEqualsExhaustive(t *testing.T) {
 	div := buildDivision(t, 9, 2)
 	ex := &Exhaustive{Div: div}
-	w1 := &WeightedTopM{Div: div, M: 1}
+	w1 := &Heuristic{Div: div, TopM: 1}
 	rng := randx.New(7)
 	for trial := 0; trial < 40; trial++ {
 		p := geom.Pt(rng.Uniform(5, 95), rng.Uniform(5, 95))
@@ -228,7 +229,7 @@ func TestWeightedTopMOneEqualsExhaustive(t *testing.T) {
 
 func TestWeightedTopMExactMatchAveragesOnlyExact(t *testing.T) {
 	div := buildDivision(t, 4, 2)
-	w := &WeightedTopM{Div: div, M: 5}
+	w := &Heuristic{Div: div, TopM: 5}
 	f := &div.Faces[div.NumFaces()/3]
 	r := w.Match(f.Signature, nil)
 	if !math.IsInf(r.Similarity, 1) {
@@ -242,7 +243,7 @@ func TestWeightedTopMExactMatchAveragesOnlyExact(t *testing.T) {
 
 func TestWeightedTopMEstimateInField(t *testing.T) {
 	div := buildDivision(t, 9, 2)
-	w := &WeightedTopM{Div: div, M: 8}
+	w := &Heuristic{Div: div, TopM: 8}
 	rng := randx.New(8)
 	for trial := 0; trial < 40; trial++ {
 		// Perturbed vector: flip a few components.
@@ -258,15 +259,67 @@ func TestWeightedTopMEstimateInField(t *testing.T) {
 	}
 }
 
+// TestWeightedTopMDefaultsM pins that a scan with TopM unset is the
+// plain argmax estimator, equal to Exhaustive bit for bit.
 func TestWeightedTopMDefaultsM(t *testing.T) {
 	div := buildDivision(t, 4, 2)
-	w := &WeightedTopM{Div: div} // M unset → 1
-	r := w.Match(div.Faces[0].Signature, nil)
+	w := &Heuristic{Div: div, Exhaustive: true} // TopM unset → argmax
+	v := div.Faces[0].Signature
+	r := w.Match(v, nil)
 	if r.Face == nil {
 		t.Fatal("nil face")
 	}
 	if r.Visited != div.NumFaces() {
 		t.Errorf("Visited = %d, want all", r.Visited)
+	}
+	requireIdenticalResult(t, "topm-unset", (&Exhaustive{Div: div}).Match(v, nil), r)
+}
+
+// TestTopMMatchesSortedOracle checks the top-M estimator against an
+// independent oracle: every face's Exhaustive similarity, stably sorted
+// in decreasing order, the first M averaged by similarity weight (or,
+// with exact matches, the exact ones among them averaged plainly).
+func TestTopMMatchesSortedOracle(t *testing.T) {
+	div := buildDivision(t, 16, 2)
+	vs, _ := batchProbes(t, div, gridNodes(t, 16), 17, 36)
+	sawExactTie := false
+	for _, mm := range []int{1, 3, 8} {
+		eng := &Heuristic{Div: div, TopM: mm}
+		for i, v := range vs {
+			got := eng.Match(v, nil)
+			ex := (&Exhaustive{Div: div}).Match(v, nil)
+			sims := make([]float64, len(div.Faces))
+			order := make([]int, len(div.Faces))
+			for f := range div.Faces {
+				sims[f] = vector.Similarity(v, div.Faces[f].Signature)
+				order[f] = f
+			}
+			sort.SliceStable(order, func(a, b int) bool { return sims[order[a]] > sims[order[b]] })
+			top := order[:min(mm, len(order))]
+			want := Result{Face: &div.Faces[top[0]], Similarity: sims[top[0]], Tied: ex.Tied, Visited: len(div.Faces)}
+			if math.IsInf(sims[top[0]], 1) {
+				var pts []geom.Point
+				for _, f := range top {
+					if math.IsInf(sims[f], 1) {
+						pts = append(pts, div.Faces[f].Centroid)
+					}
+				}
+				want.Estimate = geom.Centroid(pts)
+				sawExactTie = sawExactTie || len(pts) > 1
+			} else {
+				var sx, sy, sw float64
+				for _, f := range top {
+					sx += sims[f] * div.Faces[f].Centroid.X
+					sy += sims[f] * div.Faces[f].Centroid.Y
+					sw += sims[f]
+				}
+				want.Estimate = geom.Pt(sx/sw, sy/sw)
+			}
+			requireIdenticalResult(t, fmt.Sprintf("M=%d lane=%d", mm, i), want, got)
+		}
+	}
+	if !sawExactTie {
+		t.Error("no probe averaged several exact matches; that branch is untested")
 	}
 }
 
@@ -389,11 +442,11 @@ func minInt(a, b int) int {
 }
 
 func TestWeightedTopMTieCountMatchesExhaustive(t *testing.T) {
-	// WeightedTopM used to hardcode Tied: 1; it must report the true
-	// number of maximum-similarity faces, exactly like Exhaustive.
+	// The top-M estimator must report the true number of
+	// maximum-similarity faces, exactly like Exhaustive.
 	div, rc := buildDivisionClassifier(t, 9, 2)
 	ex := &Exhaustive{Div: div}
-	w := &WeightedTopM{Div: div, M: 3}
+	w := &Heuristic{Div: div, TopM: 3}
 	rng := randx.New(11)
 	sawTie := false
 	for trial := 0; trial < 200; trial++ {
@@ -408,7 +461,7 @@ func TestWeightedTopMTieCountMatchesExhaustive(t *testing.T) {
 		want := ex.Match(v, nil).Tied
 		got := w.Match(v, nil).Tied
 		if got != want {
-			t.Fatalf("trial %d: WeightedTopM Tied = %d, Exhaustive Tied = %d", trial, got, want)
+			t.Fatalf("trial %d: top-M Tied = %d, Exhaustive Tied = %d", trial, got, want)
 		}
 		if want > 1 {
 			sawTie = true

@@ -80,9 +80,10 @@ func trustProbes(t *testing.T, div *field.Division, nodes []geom.Point, seed uin
 }
 
 // TestMatchWeightedBatchEquivalent is the trust-weighted differential:
-// MatchBatchWeighted must be byte-identical to the serial MatchWeighted
-// for every lane — heuristic and exhaustive, incremental on and off,
-// any batch split — under adversarial vectors and any trust vector.
+// the engine's weighted lanes must be byte-identical to the weighted
+// reference search (heuristic) and to Exhaustive.MatchWeighted (scan),
+// incremental on and off, serial or any batch split — under adversarial
+// vectors and any trust vector.
 func TestMatchWeightedBatchEquivalent(t *testing.T) {
 	div := buildDivision(t, 16, 2)
 	if div.SoA() == nil {
@@ -92,17 +93,20 @@ func TestMatchWeightedBatchEquivalent(t *testing.T) {
 	vs, prevs, ws := trustProbes(t, div, nodes, 99, 48)
 	for _, incremental := range []bool{false, true} {
 		t.Run(fmt.Sprintf("heuristic/incremental=%v", incremental), func(t *testing.T) {
-			serial := &Heuristic{Div: div, Incremental: incremental}
+			ref := &refHeuristic{Div: div, Incremental: incremental}
 			want := make([]Result, len(vs))
 			for i := range vs {
-				want[i] = serial.MatchWeighted(vs[i], prevs[i], ws[i])
+				want[i] = ref.Match(vs[i], prevs[i], ws[i])
 			}
-			b := &Batch{Div: div, Incremental: incremental}
+			b := &Heuristic{Div: div, Incremental: incremental}
+			for i := range vs {
+				requireIdenticalResult(t, fmt.Sprintf("serial lane=%d", i), want[i], b.MatchWeighted(vs[i], prevs[i], ws[i]))
+			}
 			for _, split := range []int{len(vs), 1, 7} {
 				var got []Result
 				for lo := 0; lo < len(vs); lo += split {
 					hi := min(lo+split, len(vs))
-					got = b.MatchBatchWeighted(got, vs[lo:hi], prevs[lo:hi], ws[lo:hi])
+					got = b.MatchBatch(got, vs[lo:hi], prevs[lo:hi], ws[lo:hi])
 				}
 				for i := range vs {
 					requireIdenticalResult(t, fmt.Sprintf("split=%d lane=%d", split, i), want[i], got[i])
@@ -112,8 +116,8 @@ func TestMatchWeightedBatchEquivalent(t *testing.T) {
 	}
 	t.Run("exhaustive", func(t *testing.T) {
 		ex := &Exhaustive{Div: div}
-		b := &Batch{Div: div, Exhaustive: true}
-		got := b.MatchBatchWeighted(nil, vs, prevs, ws)
+		b := &Heuristic{Div: div, Exhaustive: true}
+		got := b.MatchBatch(nil, vs, prevs, ws)
 		for i := range vs {
 			want := ex.MatchWeighted(vs[i], prevs[i], ws[i])
 			requireIdenticalResult(t, fmt.Sprintf("lane=%d", i), want, got[i])
@@ -148,17 +152,17 @@ func TestMatchWeightedAllOnesIsUnweighted(t *testing.T) {
 }
 
 // TestMatchWeightedFallbackEquivalent forces the weighted below-
-// threshold exhaustive rescan on both paths.
+// threshold rescan on the engine and the reference.
 func TestMatchWeightedFallbackEquivalent(t *testing.T) {
 	div := buildDivision(t, 16, 2)
 	nodes := gridNodes(t, 16)
 	vs, prevs, ws := trustProbes(t, div, nodes, 13, 24)
-	serial := &Heuristic{Div: div, Incremental: true, Fallback: true, FallbackBelow: 1e9}
-	b := &Batch{Div: div, Incremental: true, Fallback: true, FallbackBelow: 1e9}
-	got := b.MatchBatchWeighted(nil, vs, prevs, ws)
+	ref := &refHeuristic{Div: div, Incremental: true, FallbackBelow: 1e9}
+	b := &Heuristic{Div: div, Incremental: true, FallbackBelow: 1e9}
+	got := b.MatchBatch(nil, vs, prevs, ws)
 	fellBack := 0
 	for i := range vs {
-		want := serial.MatchWeighted(vs[i], prevs[i], ws[i])
+		want := ref.Match(vs[i], prevs[i], ws[i])
 		if want.FellBack {
 			fellBack++
 		}
@@ -169,7 +173,7 @@ func TestMatchWeightedFallbackEquivalent(t *testing.T) {
 	}
 }
 
-// TestMatchWeightedNoSoAFallsBackToSerial pins the AoS escape hatch for
+// TestMatchWeightedNoSoAFallsBackToSerial pins the AoS path for
 // weighted lanes.
 func TestMatchWeightedNoSoAFallsBackToSerial(t *testing.T) {
 	div, err := field.Divide(geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10)), fracClassifier{}, 2)
@@ -178,9 +182,8 @@ func TestMatchWeightedNoSoAFallsBackToSerial(t *testing.T) {
 	}
 	v := vector.Vector{0.25}
 	w := []float64{0.4}
-	serial := &Heuristic{Div: div}
-	want := serial.MatchWeighted(v, nil, w)
-	b := &Batch{Div: div}
-	got := b.MatchBatchWeighted(nil, []vector.Vector{v}, nil, [][]float64{w})
+	want := (&refHeuristic{Div: div}).Match(v, nil, w)
+	b := &Heuristic{Div: div}
+	got := b.MatchBatch(nil, []vector.Vector{v}, nil, [][]float64{w})
 	requireIdenticalResult(t, "aos-weighted-fallback", want, got[0])
 }

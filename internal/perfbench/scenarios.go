@@ -115,8 +115,8 @@ func Suite() []Scenario {
 		},
 		{
 			Name: "match/heuristic-batch64", Kind: KindMicro, Seed: 9,
-			Summary: "one match.Batch.MatchBatch pass over 64 mixed-start ternary lanes (SoA bitplane kernel)",
-			MapsTo:  "Sec. 4.4 matching as a data-layout problem; DESIGN.md §14 (>4× per vector vs match/heuristic)",
+			Summary: "one match.Heuristic.MatchBatch pass over 64 mixed-start ternary lanes (popcount kernel)",
+			MapsTo:  "Sec. 4.4 matching as a data-layout problem; DESIGN.md §14 (per vector ≈ match/heuristic: a serial match is a one-lane batch)",
 			setup:   setupHeuristicMatchBatch64,
 		},
 		{
@@ -249,13 +249,11 @@ func setupHeuristicMatch(sc Scenario) (*instance, error) {
 	}}, nil
 }
 
-// setupHeuristicMatchBatch64 prices the SoA batch matcher: one
-// MatchBatch pass over 64 lanes built exactly like the match/heuristic
-// probes (same division, same sampler, cold + warm starts), so
-// per-op-time/64 against match/heuristic's per-op time reads off the
-// data-layout speedup DESIGN.md §14 claims (>4× per vector). Results
-// are bitwise-identical to 64 serial Heuristic matches by the batch
-// kernel's differential contract.
+// setupHeuristicMatchBatch64 prices the matcher's batch entry point:
+// one MatchBatch pass over 64 lanes built exactly like the
+// match/heuristic probes (same division, same sampler, cold + warm
+// starts). A serial Match is the one-lane batch, so per-op-time/64
+// should read close to match/heuristic's per-op time.
 func setupHeuristicMatchBatch64(sc Scenario) (*instance, error) {
 	cfg := paperConfig()
 	rc := mustClassifier(cfg)
@@ -278,12 +276,12 @@ func setupHeuristicMatchBatch64(sc Scenario) (*instance, error) {
 			prevs[i] = div.FaceAt(p)
 		}
 	}
-	m := &match.Batch{Div: div}
-	out := m.MatchBatch(nil, vs, prevs) // warm scratch + result capacity
+	m := &match.Heuristic{Div: div}
+	out := m.MatchBatch(nil, vs, prevs, nil) // warm scratch + result capacity
 	return &instance{op: func(tb *testing.B) {
 		tb.ReportAllocs()
 		for i := 0; i < tb.N; i++ {
-			out = m.MatchBatch(out[:0], vs, prevs)
+			out = m.MatchBatch(out[:0], vs, prevs, nil)
 		}
 		sink = out
 	}}, nil
@@ -360,7 +358,6 @@ func setupLocalizeBatch(sc Scenario) (*instance, error) {
 		return nil, err
 	}
 	rng := randx.New(sc.Seed)
-	workers := runtime.NumCPU()
 	const reqs, targets = 16, 4
 	var round int
 	return &instance{op: func(tb *testing.B) {
@@ -375,7 +372,7 @@ func setupLocalizeBatch(sc Scenario) (*instance, error) {
 					Rng: rr.SplitN("req", j),
 				}
 			}
-			if _, err := mt.LocalizeBatch(batch, workers); err != nil {
+			if _, err := mt.LocalizeBatch(batch); err != nil {
 				tb.Fatal(err)
 			}
 			round++

@@ -95,7 +95,7 @@ func (c Config) Expected() (map[string][][]byte, error) {
 				ID:  target,
 				Pos: pos,
 				Rng: serve.RequestStream(root, target, uint64(n)),
-			}}, 1)
+			}})
 			if err != nil {
 				return nil, err
 			}
