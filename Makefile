@@ -6,7 +6,7 @@ PERF_OUT ?= BENCH_PR5.json
 PERF_BASELINE ?= results/perf/baseline.json
 
 .PHONY: build test race raceserve vet allocgate fuzz soak check bench tools clean \
-	perf perfcheck profiles docscheck csvcheck trace-demo
+	perf perfcheck profiles docscheck csvcheck tracecheck trace-demo
 
 build:
 	$(GO) build ./...
@@ -70,8 +70,20 @@ csvcheck:
 	for f in $$tmp/*.csv; do cmp $$f results/$$(basename $$f) || exit 1; done && \
 	echo "csvcheck: $$(ls $$tmp/*.csv | wc -l) tables byte-identical"
 
+# tracecheck is the trace smoke of the networked path: a short
+# fttt-sim -net run records a flight recording, fttt-trace renders it,
+# and the rendering must show the wsnnet collection, pipeline round and
+# core localization spans.
+tracecheck:
+	@tmp=$$(mktemp -d) && trap 'rm -rf $$tmp' EXIT && \
+	$(GO) run ./cmd/fttt-sim -net -seed 7 -duration 20 -trace $$tmp/net.jsonl > /dev/null && \
+	$(GO) run ./cmd/fttt-trace show $$tmp/net.jsonl > $$tmp/show.txt && \
+	for s in wsnnet/collect_round pipeline/round core/localize; do \
+		grep -q "$$s" $$tmp/show.txt || { echo "tracecheck: no $$s span in the net trace"; exit 1; }; \
+	done && echo "tracecheck: net trace renders wsnnet, pipeline and core spans"
+
 # check is the full local gate: what CI runs.
-check: vet build race raceserve allocgate fuzz docscheck csvcheck
+check: vet build race raceserve allocgate fuzz docscheck csvcheck tracecheck
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .

@@ -288,15 +288,10 @@ func runMulti(c simConfig, field geom.Rect, dep deploy.Deployment, model rf.Mode
 	mcfg := core.Config{
 		Field: field, Nodes: dep.Positions(), Model: model,
 		Epsilon: c.eps, SamplingTimes: c.k, Range: c.rng, CellSize: c.cell,
-		ReportLoss: c.loss, Variant: variant, Obs: c.obs,
+		ReportLoss: c.loss, Variant: variant, Obs: c.obs, Tracer: c.rec,
 	}
 	if c.defense {
 		mcfg.Defense = &byz.Config{Enabled: true}
-	}
-	if c.rec != nil {
-		// A bare nil-pointer assignment would produce a typed-nil Tracer
-		// interface and defeat the tracker's nil fast path.
-		mcfg.Tracer = c.rec
 	}
 	mt, err := core.NewMulti(mcfg)
 	if err != nil {
@@ -382,9 +377,7 @@ func runNet(c simConfig, field geom.Rect, dep deploy.Deployment, model rf.Model,
 		ReportBits:   256,
 		Epsilon:      c.eps,
 		Obs:          c.obs,
-	}
-	if c.rec != nil {
-		netCfg.Tracer = c.rec
+		Tracer:       c.rec,
 	}
 	if c.script != nil {
 		// The scheduler rides the network's virtual clock: every
@@ -400,18 +393,14 @@ func runNet(c simConfig, field geom.Rect, dep deploy.Deployment, model rf.Model,
 	tcfg := core.Config{
 		Field: field, Nodes: dep.Positions(), Model: model,
 		Epsilon: c.eps, SamplingTimes: c.k, Range: c.rng, CellSize: c.cell,
-		Variant: variant, StarFractionLimit: c.starFrac, Obs: c.obs,
+		Variant: variant, StarFractionLimit: c.starFrac, Obs: c.obs, Tracer: c.rec,
 	}
 	if c.defense {
 		tcfg.Defense = &byz.Config{Enabled: true}
 	}
 	pcfg := pipeline.Config{
 		Net: net, Tracker: nil, Period: c.locPeriod, K: c.k,
-		RetryBackoff: c.retryBackoff, Obs: c.obs,
-	}
-	if c.rec != nil {
-		tcfg.Tracer = c.rec
-		pcfg.Tracer = c.rec
+		RetryBackoff: c.retryBackoff, Obs: c.obs, Tracer: c.rec,
 	}
 	tr, err := core.New(tcfg)
 	if err != nil {
@@ -489,13 +478,10 @@ func runSampler(c simConfig, field geom.Rect, dep deploy.Deployment, model rf.Mo
 		cfg := core.Config{
 			Field: field, Nodes: dep.Positions(), Model: model,
 			Epsilon: c.eps, SamplingTimes: c.k, Range: c.rng, CellSize: c.cell,
-			StarFractionLimit: c.starFrac, Obs: c.obs,
+			StarFractionLimit: c.starFrac, Obs: c.obs, Tracer: c.rec,
 		}
 		if c.defense {
 			cfg.Defense = &byz.Config{Enabled: true}
-		}
-		if c.rec != nil {
-			cfg.Tracer = c.rec
 		}
 		if c.strategy == "fttt-ext" {
 			cfg.Variant = core.Extended

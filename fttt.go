@@ -105,9 +105,6 @@ type (
 	// TargetPosition names one target's true position for a batch
 	// MultiTracker.LocalizeAll round.
 	TargetPosition = core.TargetPosition
-	// TargetGroup names one target's grouping sampling for a batch
-	// MultiTracker.LocalizeGroups round.
-	TargetGroup = core.TargetGroup
 	// Sampler draws grouping samplings from the signal model — use it
 	// when feeding LocalizeGroup with externally collected samples.
 	Sampler = sampling.Sampler
@@ -116,14 +113,12 @@ type (
 )
 
 // Telemetry types (DESIGN.md §"Telemetry"). Attach a Registry via
-// Config.Obs and/or a Tracer via Config.Tracer to observe the tracker;
-// nil (the default) disables all bookkeeping at near-zero cost.
+// Config.Obs and/or a TraceRecorder via Config.Tracer to observe the
+// tracker; nil (the default) disables all bookkeeping at near-zero cost.
 type (
 	// Registry is a named collection of counters, gauges and histograms;
 	// its Snapshot().WriteTo renders the Prometheus text format.
 	Registry = obs.Registry
-	// Tracer receives span/event callbacks from instrumented components.
-	Tracer = obs.Tracer
 	// TelemetryServer exposes a Registry over HTTP (/metrics, expvar,
 	// pprof).
 	TelemetryServer = obs.Server
@@ -133,8 +128,8 @@ type (
 // Config.Tracer, the -trace flags of fttt-sim/fttt-track, and the
 // serving layer's /debug/trace endpoint.
 type (
-	// TraceRecorder is the bounded lock-free ring of trace records; it
-	// implements Tracer, so install it via Config.Tracer. A nil
+	// TraceRecorder is the bounded lock-free ring of trace records —
+	// the one trace sink; install it via Config.Tracer. A nil
 	// *TraceRecorder is "tracing off" at pointer-check cost.
 	TraceRecorder = obs.Recorder
 	// TraceRecord is one completed span, event or link of a recording.
@@ -146,10 +141,6 @@ type (
 // NewTraceRecorder builds a flight recorder keeping the last capacity
 // records (<= 0 selects the default of obs.DefaultRecorderCap).
 func NewTraceRecorder(capacity int) *TraceRecorder { return obs.NewRecorder(capacity) }
-
-// NewMultiTracer fans tracer callbacks out to every non-nil tracer —
-// use it to combine a TraceRecorder with a custom Tracer.
-func NewMultiTracer(tracers ...Tracer) Tracer { return obs.NewMultiTracer(tracers...) }
 
 // WriteTraceJSONL writes a recording one JSON record per line — the
 // format fttt-trace and ReadTraceJSONL consume.

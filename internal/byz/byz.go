@@ -358,8 +358,9 @@ type Vote struct {
 }
 
 // QuorumVote tallies witness votes for one pair: it returns the winning
-// sign and true when the total weight reaches minQuorum and the winning
-// sign holds at least threshold of it; otherwise (0, false) — no quorum.
+// sign and true when the total weight is positive and reaches minQuorum
+// and the winning sign holds at least threshold of it; otherwise
+// (0, false) — no quorum.
 // With a unanimous honest majority H and adversarial weight M, the
 // outcome equals the honest-only outcome whenever M < H·(1−θ)/θ for
 // threshold θ > 1/2 — the soundness property FuzzByzQuorumVote pins,
@@ -378,7 +379,7 @@ func QuorumVote(votes []Vote, minQuorum, threshold float64) (int, bool) {
 		}
 	}
 	total := pos + neg
-	if total < minQuorum {
+	if total <= 0 || total < minQuorum {
 		return 0, false
 	}
 	win, w := 1, pos

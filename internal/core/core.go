@@ -14,7 +14,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"fttt/internal/byz"
 	"fttt/internal/faults"
@@ -148,9 +147,11 @@ type Config struct {
 	// faces visited, fallbacks, flip/star/missing-report counts, localize
 	// latency — DESIGN.md §"Telemetry"). Nil disables all bookkeeping.
 	Obs *obs.Registry
-	// Tracer, when non-nil, receives a span per localization and an event
-	// per matcher fallback. Nil disables tracing (the fast path).
-	Tracer obs.Tracer
+	// Tracer, when non-nil, is the flight recorder every localization
+	// round writes its span tree into: the core/localize round span with
+	// sampling and match children and the degradation events (DESIGN.md
+	// §12). Nil disables tracing (the fast path).
+	Tracer *obs.Recorder
 }
 
 // UncertaintyC returns the uncertainty constant the configuration
@@ -209,17 +210,8 @@ type Tracker struct {
 	prevPos geom.Point
 	histN   int
 	metrics *trackerMetrics
-	tracer  obs.Tracer
-	// cb is tracer with any Recorder stripped: the flat Span/Event
-	// callbacks go here so the recorder — which captures the rich
-	// structured spans below — does not record every round twice.
-	cb obs.Tracer
-	// rec is the structured trace sink extracted from cfg.Tracer
-	// (obs.RecorderOf); nil disables all structured tracing.
+	// rec is cfg.Tracer; nil disables all tracing.
 	rec *obs.Recorder
-	// reqSpan is the serving layer's per-request trace context: the next
-	// round span parents under it (SetRequestSpan).
-	reqSpan obs.SpanRef
 	// round is the currently open localization round span; children
 	// (sampling, match) and degradation events parent under it.
 	round obs.SpanRef
@@ -332,9 +324,7 @@ func NewWithDivision(cfg Config, div *field.Division) (*Tracker, error) {
 			ReportLoss: cfg.ReportLoss,
 			Epsilon:    cfg.Epsilon,
 		},
-		tracer: cfg.Tracer,
-		cb:     obs.WithoutRecorder(cfg.Tracer),
-		rec:    obs.RecorderOf(cfg.Tracer),
+		rec: cfg.Tracer,
 	}
 	t.sampler.Trace = t.rec
 	if cfg.FaultScript != nil {
@@ -469,64 +459,34 @@ func (e Estimate) participating() int {
 // and matches it to a face. rng drives the sampling noise and losses;
 // pass an independent substream per localization for reproducibility.
 // With StarFractionLimit > 0 a degraded collection is retried once from
-// the "retry" substream (split unconditionally, so the retry never
-// perturbs the primary draws).
+// rng's "retry" substream, a pure derivation, so the retry never
+// perturbs the primary draws.
 func (t *Tracker) Localize(pos geom.Point, rng *randx.Stream) Estimate {
-	// Open the round span before sampling so the collection nests inside
-	// it; LocalizeGroupRetry's beginRound then sees the round already
-	// open and leaves ownership here.
-	sp, owned := t.beginRound()
-	g := t.sampleTraced("sample", pos, rng)
-	var recollect func() *sampling.Group
-	if t.cfg.StarFractionLimit > 0 {
-		retry := rng.Split("retry")
-		recollect = func() *sampling.Group {
-			if t.faults != nil && t.cfg.RetryBackoff > 0 {
-				// The backoff lets transient faults clear before the
-				// re-collection — advance the fault clock past it.
-				t.faults.Seek(t.faults.Now() + t.cfg.RetryBackoff)
-			}
-			return t.sampleTraced("resample", pos, retry)
-		}
-	}
-	est := t.LocalizeGroupRetry(g, recollect)
-	if owned {
-		t.endRound(&sp, est)
-	}
-	return est
+	p := t.begin(&LocalizeRequest{Pos: pos, Rng: rng})
+	return t.finish(&p, t.matcher.MatchWeighted(p.v, p.prev, p.w), nil)
 }
 
-// beginRound opens the structured round span under the current request
-// context, unless tracing is off or a round is already open (Localize
-// opens it around the collection; LocalizeGroupRetry opens it for
-// externally collected groups). The caller owning the span (owned ==
-// true) must close it with endRound.
-func (t *Tracker) beginRound() (sp obs.ActiveSpan, owned bool) {
-	if t.rec == nil || t.round.Valid() {
-		return obs.ActiveSpan{}, false
-	}
-	sp = t.rec.Start(t.reqSpan, "core", "localize")
-	t.round = sp.Ref()
-	return sp, true
+// LocalizeGroup matches an externally collected grouping sampling — the
+// entry point used by the wsnnet substrate, whose reports arrive through
+// the simulated network rather than directly from the sampler. When a
+// registry or recorder is attached it also records the localization's
+// telemetry; with neither the cost is a few nil checks.
+func (t *Tracker) LocalizeGroup(g *sampling.Group) Estimate {
+	return t.LocalizeGroupRetry(g, nil)
 }
 
-// endRound annotates the round span with the estimate's outcome and
-// publishes it.
-func (t *Tracker) endRound(sp *obs.ActiveSpan, est Estimate) {
-	sp.Attr("reported", float64(est.Reported))
-	sp.Attr("star_fraction", est.StarFraction())
-	sp.Attr("face", float64(est.FaceID))
-	sp.Flag("degraded", est.Degraded)
-	sp.Flag("retried", est.Retried)
-	sp.Flag("extrapolated", est.Extrapolated)
-	sp.End()
-	t.round = obs.SpanRef{}
+// LocalizeGroupRetry is LocalizeGroup with the degradation policy's
+// re-collection hook: when the sampling vector's star fraction exceeds
+// Config.StarFractionLimit and recollect is non-nil, it is invoked once
+// (after the caller's backoff, if any) to collect a replacement group;
+// the better of the two collections wins. A round still degraded after
+// the retry falls back to last-estimate + mobility extrapolation.
+// recollect may be nil (no retry possible — e.g. the reports are a
+// recorded trace) and may return nil (the re-collection itself failed).
+func (t *Tracker) LocalizeGroupRetry(g *sampling.Group, recollect func() *sampling.Group) Estimate {
+	p := t.begin(&LocalizeRequest{Group: g})
+	return t.finish(&p, t.matcher.MatchWeighted(p.v, p.prev, p.w), recollect)
 }
-
-// SetRequestSpan installs the trace context the next rounds parent
-// under — the serving layer's per-request span. Pass the zero SpanRef to
-// clear. Like every Tracker method it is single-goroutine.
-func (t *Tracker) SetRequestSpan(ref obs.SpanRef) { t.reqSpan = ref }
 
 // sampleTraced collects one grouping sampling, bracketed by a
 // "sampling" child span when tracing is on. The sampler's fault events
@@ -544,78 +504,13 @@ func (t *Tracker) sampleTraced(name string, pos geom.Point, rng *randx.Stream) *
 	return g
 }
 
-// LocalizeGroup matches an externally collected grouping sampling — the
-// entry point used by the wsnnet substrate, whose reports arrive through
-// the simulated network rather than directly from the sampler. When a
-// registry or tracer is attached it also records the localization's
-// telemetry; with neither the cost is two nil checks.
-func (t *Tracker) LocalizeGroup(g *sampling.Group) Estimate {
-	return t.LocalizeGroupRetry(g, nil)
-}
-
-// LocalizeGroupRetry is LocalizeGroup with the degradation policy's
-// re-collection hook: when the sampling vector's star fraction exceeds
-// Config.StarFractionLimit and recollect is non-nil, it is invoked once
-// (after the caller's backoff, if any) to collect a replacement group;
-// the better of the two collections wins. A round still degraded after
-// the retry falls back to last-estimate + mobility extrapolation.
-// recollect may be nil (no retry possible — e.g. the reports are a
-// recorded trace) and may return nil (the re-collection itself failed).
-func (t *Tracker) LocalizeGroupRetry(g *sampling.Group, recollect func() *sampling.Group) Estimate {
-	if t.metrics == nil && t.tracer == nil {
-		return t.localizeDegraded(g, recollect)
-	}
-	sp, owned := t.beginRound()
-	end := obs.StartSpan(t.cb, "core", "localize")
-	start := time.Now()
-	est := t.localizeDegraded(g, recollect)
-	if m := t.metrics; m != nil {
-		m.latency.Observe(time.Since(start).Seconds())
-		m.localizations.Inc()
-		m.visited.Observe(float64(est.Visited))
-		m.stars.Add(float64(est.Stars))
-		m.flipped.Add(float64(est.Flipped))
-		m.missing.Add(float64(g.N() - g.NumReported()))
-		if est.FellBack {
-			m.fallbacks.Inc()
-		}
-		if est.Degraded {
-			m.degraded.Inc()
-		}
-		if est.Retried {
-			m.retries.Inc()
-		}
-		if est.Extrapolated {
-			m.extrapolated.Inc()
-		}
-	}
-	if est.FellBack {
-		obs.Emit(t.cb, "core", "matcher_fallback", est.Similarity)
-	}
-	if est.Degraded {
-		obs.Emit(t.cb, "core", "degraded", est.StarFraction())
-	}
-	end()
-	if owned {
-		t.endRound(&sp, est)
-	}
-	return est
-}
-
-// localizeDegraded runs the match plus the degradation policy of
-// DESIGN.md §9 and maintains the estimate history the extrapolation
-// fallback consumes. With StarFractionLimit == 0 it is the plain match
-// plus two point assignments — the hot path stays allocation-free.
-func (t *Tracker) localizeDegraded(g *sampling.Group, recollect func() *sampling.Group) Estimate {
-	return t.finishDegraded(t.localizeGroup(g), recollect)
-}
-
-// finishDegraded is localizeDegraded after the first match: the
-// degradation policy over an already computed estimate. Split out so the
-// batch engine (multi.go) can feed the first match through the central
-// MatchBatch pass and still replay the serial retry/extrapolation path
-// verbatim.
-func (t *Tracker) finishDegraded(est Estimate, recollect func() *sampling.Group) Estimate {
+// degrade applies the degradation policy of DESIGN.md §9 to round p's
+// settled first match and maintains the estimate history the
+// extrapolation fallback consumes. With StarFractionLimit == 0 it is two
+// point assignments — the hot path stays allocation-free. A degraded
+// round re-collects once when it can (see recollect) and matches the new
+// group on the tracker's own matcher.
+func (t *Tracker) degrade(p *round, est Estimate, hook func() *sampling.Group) Estimate {
 	lim := t.cfg.StarFractionLimit
 	if lim <= 0 || est.StarFraction() <= lim {
 		t.pushHistory(est.Pos)
@@ -624,11 +519,13 @@ func (t *Tracker) finishDegraded(est Estimate, recollect func() *sampling.Group)
 	est.Degraded = true
 	t.rec.RecordEvent(t.round, "core", "degraded", est.StarFraction())
 	face := t.prev
-	if recollect != nil {
+	if p.rng != nil || hook != nil {
 		est.Retried = true
 		t.rec.RecordEvent(t.round, "core", "retry", est.StarFraction())
-		if g2 := recollect(); g2 != nil {
-			est2 := t.localizeGroup(g2)
+		if g2 := t.recollect(p, hook); g2 != nil {
+			v2, w2 := t.prepare(g2)
+			msp := t.rec.Start(t.round, "match", "match")
+			est2 := t.settle(&msp, v2, g2, t.matcher.MatchWeighted(v2, t.prev, w2))
 			if est2.StarFraction() < est.StarFraction() {
 				// The retry heard more: adopt it (its face is already
 				// the warm start).
@@ -681,33 +578,6 @@ func (t *Tracker) pushHistory(pos geom.Point) {
 	}
 }
 
-func (t *Tracker) localizeGroup(g *sampling.Group) Estimate {
-	v := t.samplingVector(g)
-	var w []float64
-	if t.defense != nil {
-		// Pre-match defense: run the range-plausibility gate over the raw
-		// reports, then snapshot them, quorum-correct or star out suspect
-		// pairs in place, and emit trust weights (nil while no node is
-		// suspect — the unmodified, byte-identical matcher path).
-		t.defense.ObserveGroup(g)
-		w = t.defense.Apply(v)
-	}
-	var r match.Result
-	if t.rec == nil {
-		r = t.matcher.MatchWeighted(v, t.prev, w)
-	} else {
-		msp := t.rec.Start(t.round, "match", "match")
-		r = t.matcher.MatchWeighted(v, t.prev, w)
-		endMatchSpan(msp, r)
-	}
-	if t.defense != nil {
-		// Post-match learning: charge inversion evidence from what the
-		// nodes reported against the face the round settled on.
-		t.defense.Observe(r.Face.Signature)
-	}
-	return t.finishMatch(v, g, r)
-}
-
 // newMatcher builds the matching engine cfg selects over div. Every
 // tracker clone and the MultiTracker wave engine build theirs here, so
 // serial and batched matches share one configuration.
@@ -728,35 +598,6 @@ func (t *Tracker) samplingVector(g *sampling.Group) vector.Vector {
 		return g.ExtendedVector()
 	}
 	return g.Vector()
-}
-
-// endMatchSpan annotates a match span with its result and publishes it.
-func endMatchSpan(msp obs.ActiveSpan, r match.Result) {
-	msp.Attr("visited", float64(r.Visited))
-	if math.IsInf(r.Similarity, 1) {
-		msp.Flag("exact", true)
-	} else {
-		msp.Attr("similarity", r.Similarity)
-	}
-	msp.Flag("fellback", r.FellBack)
-	msp.End()
-}
-
-// finishMatch folds a match result into the tracker's warm-start state
-// and the round's Estimate.
-func (t *Tracker) finishMatch(v vector.Vector, g *sampling.Group, r match.Result) Estimate {
-	t.prev = r.Face
-	return Estimate{
-		Pos:        r.Estimate,
-		FaceID:     r.Face.ID,
-		Similarity: r.Similarity,
-		Reported:   g.NumReported(),
-		Stars:      v.CountStars(),
-		Flipped:    v.CountFlipped(),
-		Visited:    r.Visited,
-		FellBack:   r.FellBack,
-		pairsTotal: v.Dim(),
-	}
 }
 
 // TrackedPoint pairs a true target position with its estimate.

@@ -27,8 +27,9 @@ import (
 // A MultiTracker is safe for concurrent use: the target table is
 // mutex-protected and each target's localizations are serialized on a
 // per-target lock, so goroutines localizing distinct targets proceed in
-// parallel while the shared Division is only ever read. LocalizeAll and
-// LocalizeGroups fan a whole batch across a worker pool.
+// parallel while the shared Division is only ever read. LocalizeAll fans
+// a whole batch across a worker pool; LocalizeBatch runs one as waves
+// through a shared matching engine.
 type MultiTracker struct {
 	base   Config
 	shared *Tracker // owns the division
@@ -42,7 +43,7 @@ type MultiTracker struct {
 	// deadlock-free. It also guards the wave scratch.
 	batchMu   sync.Mutex
 	bm        *match.Heuristic
-	pend      []batchPending
+	pend      []waveLane
 	laneVs    []vector.Vector
 	lanePrevs []*field.Face
 	laneWs    [][]float64
@@ -55,6 +56,15 @@ type MultiTracker struct {
 type multiMetrics struct {
 	waves *obs.Counter
 	lanes *obs.Counter
+}
+
+// waveLane is one LocalizeBatch request between its round's begin and
+// finish halves: the target's tracker, the request's slot and the open
+// round.
+type waveLane struct {
+	tr  *Tracker
+	req int
+	round
 }
 
 // targetState is one target's tracker plus the lock serializing its
@@ -144,13 +154,6 @@ type TargetPosition struct {
 	Pos geom.Point
 }
 
-// TargetGroup names one target's externally collected grouping sampling
-// for a batch localization round.
-type TargetGroup struct {
-	ID    string
-	Group *sampling.Group
-}
-
 // LocalizeAll samples and localizes every target of the batch, fanning
 // the work across a pool of workers (≤ 0 selects runtime.NumCPU(); 1 is
 // serial). Target i draws its sampling noise from the substream
@@ -179,32 +182,6 @@ func (m *MultiTracker) LocalizeAll(batch []TargetPosition, rng *randx.Stream, wo
 	out := make(map[string]Estimate, len(batch))
 	for i, tp := range batch {
 		out[tp.ID] = ests[i]
-	}
-	return out, nil
-}
-
-// LocalizeGroups is LocalizeAll for externally collected grouping
-// samplings (the wsnnet path): each target's group is matched on a worker
-// from the pool, warm-starting from that target's previous face.
-func (m *MultiTracker) LocalizeGroups(batch []TargetGroup, workers int) (map[string]Estimate, error) {
-	states := make([]*targetState, len(batch))
-	for i, tg := range batch {
-		ts, err := m.target(tg.ID)
-		if err != nil {
-			return nil, err
-		}
-		states[i] = ts
-	}
-	ests := make([]Estimate, len(batch))
-	fanOut(len(batch), workers, func(i int) {
-		ts := states[i]
-		ts.mu.Lock()
-		ests[i] = ts.tr.LocalizeGroup(batch[i].Group)
-		ts.mu.Unlock()
-	})
-	out := make(map[string]Estimate, len(batch))
-	for i, tg := range batch {
-		out[tg.ID] = ests[i]
 	}
 	return out, nil
 }
@@ -270,7 +247,7 @@ func (m *MultiTracker) LocalizeBatch(reqs []LocalizeRequest) ([]Estimate, error)
 	// The batch span records how the micro-batcher coalesced this round
 	// and links each member request's span, tying the per-request causal
 	// trees to the execution that actually served them. rec is shared by
-	// every per-target clone (they all derive it from base.Tracer).
+	// every per-target clone (they all take it from base.Tracer).
 	rec := m.shared.rec
 	batchSpan := rec.Start(obs.SpanRef{}, "core", "localize_batch")
 	if rec != nil {
@@ -292,11 +269,12 @@ func (m *MultiTracker) LocalizeBatch(reqs []LocalizeRequest) ([]Estimate, error)
 // mutate per-target state the target's next request must observe — the
 // fault clock a degraded retry advances, the warm-start face, the
 // estimate history. Lanes of one wave belong to distinct targets, so
-// the pre-match phases can run back to back, one central MatchBatch
-// pass scores every lane, and the completion phases replay the rest of
-// the serial flow. Every target lock is held for the whole batch;
-// batchMu keeps multi-lock acquisition single-flight (single-lock
-// callers like LocalizeGroup cannot form a cycle against it).
+// their rounds' begin halves can run back to back, one central
+// MatchBatch pass scores every lane, and each lane's finish half then
+// closes its round exactly as the serial entry points do. Every target
+// lock is held for the whole batch; batchMu keeps multi-lock
+// acquisition single-flight (single-lock callers like LocalizeGroup
+// cannot form a cycle against it).
 func (m *MultiTracker) localizeBatchWaves(reqs []LocalizeRequest, states map[string]*targetState, order []string, byTarget map[string][]int, ests []Estimate) {
 	m.batchMu.Lock()
 	defer m.batchMu.Unlock()
@@ -308,9 +286,7 @@ func (m *MultiTracker) localizeBatchWaves(reqs []LocalizeRequest, states map[str
 	}
 	defer func() {
 		for _, id := range order {
-			ts := states[id]
-			ts.tr.SetRequestSpan(obs.SpanRef{})
-			ts.mu.Unlock()
+			states[id].mu.Unlock()
 		}
 	}()
 	pend, vs, prevs, ws := m.pend, m.laneVs, m.lanePrevs, m.laneWs
@@ -321,10 +297,9 @@ func (m *MultiTracker) localizeBatchWaves(reqs []LocalizeRequest, states map[str
 			if wave >= len(ris) {
 				continue
 			}
-			ri := ris[wave]
-			p := states[id].tr.batchBegin(&reqs[ri])
-			p.reqIdx = ri
-			pend = append(pend, p)
+			tr, ri := states[id].tr, ris[wave]
+			pend = append(pend, waveLane{tr: tr, req: ri, round: tr.begin(&reqs[ri])})
+			p := &pend[len(pend)-1]
 			vs = append(vs, p.v)
 			prevs = append(prevs, p.prev)
 			ws = append(ws, p.w)
@@ -337,7 +312,7 @@ func (m *MultiTracker) localizeBatchWaves(reqs []LocalizeRequest, states map[str
 		m.laneRes = m.bm.MatchBatch(m.laneRes[:0], vs, prevs, ws)
 		for i := range pend {
 			p := &pend[i]
-			ests[p.reqIdx] = p.tr.batchFinish(p, m.laneRes[i])
+			ests[p.req] = p.tr.finish(&p.round, m.laneRes[i], nil)
 		}
 		if m.metrics != nil {
 			m.metrics.waves.Inc()

@@ -246,45 +246,6 @@ func TestMultiTrackerLocalizeAllParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestMultiTrackerLocalizeGroupsParallelMatchesSerial(t *testing.T) {
-	cfg := defaultConfig(9)
-	s := &sampling.Sampler{Model: cfg.Model, Nodes: cfg.Nodes, Range: cfg.Range, Epsilon: cfg.Epsilon}
-	const targets = 5
-
-	run := func(workers int) map[string]Estimate {
-		m, err := NewMulti(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var agg map[string]Estimate
-		for i := 0; i < 8; i++ {
-			batch := make([]TargetGroup, targets)
-			for g := range batch {
-				batch[g] = TargetGroup{
-					ID: fmt.Sprintf("g%d", g),
-					Group: s.Sample(geom.Pt(20+float64(g*14), 30+float64(i*4)),
-						cfg.SamplingTimes, randx.New(7).SplitN("grp", i*targets+g)),
-				}
-			}
-			agg, err = m.LocalizeGroups(batch, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		return agg
-	}
-
-	serial := run(1)
-	for _, workers := range []int{3, 0} {
-		par := run(workers)
-		for id, e := range serial {
-			if pe := par[id]; pe.Pos != e.Pos {
-				t.Fatalf("workers=%d target %s: %v, want %v", workers, id, pe.Pos, e.Pos)
-			}
-		}
-	}
-}
-
 func TestMultiTrackerLocalizeAllEmptyIDError(t *testing.T) {
 	cfg := defaultConfig(9)
 	m, _ := NewMulti(cfg)
@@ -375,7 +336,7 @@ func TestLocalizeBatchMatchesSerial(t *testing.T) {
 	// where one target appears several times (per-target FIFO) and mixed
 	// Pos/Group requests — for every matcher configuration: the default
 	// search, the exhaustive scan, the fallback rescan, the top-M
-	// estimator, and a division without a quantized SoA store.
+	// estimator, and a division without a bitplane store.
 	base := defaultConfig(16)
 	s := &sampling.Sampler{Model: base.Model, Nodes: base.Nodes, Range: base.Range, Epsilon: base.Epsilon}
 	root := randx.New(23)
@@ -487,8 +448,8 @@ func TestLocalizeBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// unquantizable wraps a classifier and replaces pair (0, 1) with a value
-// no int8 denominator represents, so the division carries no SoA store
+// unquantizable wraps a classifier and replaces pair (0, 1) with a
+// fractional value, so the division carries no SoA store
 // and every match takes the float kernel over Face.Signature.
 type unquantizable struct{ field.PairClassifier }
 

@@ -11,19 +11,19 @@ import (
 	"fttt/internal/rf"
 )
 
-// TestLocalizeTelemetry checks that an attached registry and tracer see
-// every localization, and that the exported names match DESIGN.md
+// TestLocalizeTelemetry checks that an attached registry and recorder
+// see every localization, and that the exported names match DESIGN.md
 // §"Telemetry".
 func TestLocalizeTelemetry(t *testing.T) {
 	field := geom.NewRect(geom.Pt(0, 0), geom.Pt(100, 100))
 	dep := deploy.Grid(field, 16)
 	reg := obs.NewRegistry()
-	var ct obs.CountingTracer
+	rec := obs.NewRecorder(0)
 	tr, err := New(Config{
 		Field: field, Nodes: dep.Positions(), Model: rf.Default(),
 		Epsilon: 1, SamplingTimes: 5, Range: 40, CellSize: 4,
 		ReportLoss: 0.3, // force some missing reports
-		Obs:        reg, Tracer: &ct,
+		Obs:        reg, Tracer: rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,8 +49,8 @@ func TestLocalizeTelemetry(t *testing.T) {
 	if got := reg.Counter("fttt_core_missing_reports_total").Value(); got <= 0 {
 		t.Errorf("missing reports counter = %v, want > 0 under 30%% loss", got)
 	}
-	if got := ct.Spans("core", "localize"); got != rounds {
-		t.Errorf("tracer saw %d localize spans, want %d", got, rounds)
+	if got := countRecords(rec, obs.KindSpan, "core", "localize"); got != rounds {
+		t.Errorf("recorder saw %d localize spans, want %d", got, rounds)
 	}
 
 	var b strings.Builder
@@ -60,6 +60,17 @@ func TestLocalizeTelemetry(t *testing.T) {
 	if !strings.Contains(b.String(), "# TYPE fttt_core_localize_seconds histogram") {
 		t.Errorf("snapshot missing core latency histogram:\n%s", b.String())
 	}
+}
+
+// countRecords counts rec's records of kind under component/name.
+func countRecords(rec *obs.Recorder, kind, component, name string) int {
+	n := 0
+	for _, r := range rec.Records() {
+		if r.Kind == kind && r.Component == component && r.Name == name {
+			n++
+		}
+	}
+	return n
 }
 
 // TestFallbackTelemetry checks the heuristic→exhaustive fallback counter

@@ -167,15 +167,16 @@ type Division struct {
 	cellFace []int
 	// bySig maps a ternary signature key to its face ID.
 	bySig map[string]int
-	// soa is the quantized structure-of-arrays signature store the batch
-	// matcher streams; nil when the signatures do not quantize (exotic
-	// custom classifiers). Built once alongside the faces, immutable.
+	// soa is the bitplane signature store the matcher's popcount kernel
+	// streams; nil when a signature is not purely ternary (custom
+	// classifiers emitting Star or fractional values). Built once
+	// alongside the faces, immutable.
 	soa *SigSoA
 }
 
-// SoA returns the division's quantized structure-of-arrays signature
-// store, or nil when the signatures do not quantize losslessly into
-// int8 — callers must fall back to the AoS Face.Signature path then.
+// SoA returns the division's bitplane signature store, or nil when a
+// signature is not purely ternary — callers must fall back to the AoS
+// Face.Signature path then.
 func (d *Division) SoA() *SigSoA { return d.soa }
 
 // dimEps guards the ceiling grid division against floating-point noise:

@@ -10,45 +10,43 @@ import (
 )
 
 // TestSoASignatureEquality is the SoA-vs-AoS property over seeded
-// random deployments: every face's quantized row decodes to
-// exactly the AoS Face.Signature, the bitplanes agree component by
-// component, and the popcount distance kernel reproduces the float
-// Def. 8 squared distance for ternary queries.
+// random deployments: every plane bit agrees with the AoS
+// Face.Signature component by component.
 func TestSoASignatureEquality(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3, 4, 5} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			div, _ := randomDivision(t, seed, 6, 1.2, 2)
-			s := div.SoA()
-			if s == nil {
-				t.Fatal("ternary division has no SoA store")
-			}
-			if s.Denom != 1 {
-				t.Fatalf("ternary division quantized at denom %d, want 1", s.Denom)
-			}
-			if s.NumFaces != div.NumFaces() || s.Dim != div.Faces[0].Signature.Dim() {
-				t.Fatalf("SoA dims %dx%d, division %dx%d",
-					s.NumFaces, s.Dim, div.NumFaces(), div.Faces[0].Signature.Dim())
-			}
-			var scratch vector.Vector
-			for f := range div.Faces {
-				aos := div.Faces[f].Signature
-				scratch = s.Signature(scratch[:0], f)
-				if !vector.Equal(scratch, aos) {
-					t.Fatalf("face %d: SoA row decodes to %v, AoS %v", f, scratch, aos)
-				}
-				pos, neg := s.FacePlanes(f)
-				for k := 0; k < s.Dim; k++ {
-					wantPos := aos[k] == vector.Nearer
-					wantNeg := aos[k] == vector.Farther
-					if gotPos := pos[k/64]&(1<<(k%64)) != 0; gotPos != wantPos {
-						t.Fatalf("face %d comp %d: PosBits %v, want %v", f, k, gotPos, wantPos)
-					}
-					if gotNeg := neg[k/64]&(1<<(k%64)) != 0; gotNeg != wantNeg {
-						t.Fatalf("face %d comp %d: NegBits %v, want %v", f, k, gotNeg, wantNeg)
-					}
-				}
-			}
+			checkPlanes(t, div)
 		})
+	}
+}
+
+// checkPlanes asserts div carries a store whose dimensions match the
+// division and whose PosBits/NegBits bit k of face f is set exactly when
+// Face.Signature component k is Nearer/Farther.
+func checkPlanes(t *testing.T, div *Division) {
+	t.Helper()
+	s := div.SoA()
+	if s == nil {
+		t.Fatal("ternary division has no SoA store")
+	}
+	if s.NumFaces != div.NumFaces() || s.Dim != div.Faces[0].Signature.Dim() || s.Words != (s.Dim+63)/64 {
+		t.Fatalf("SoA dims %dx%d (%d words), division %dx%d",
+			s.NumFaces, s.Dim, s.Words, div.NumFaces(), div.Faces[0].Signature.Dim())
+	}
+	for f := range div.Faces {
+		aos := div.Faces[f].Signature
+		pos, neg := s.FacePlanes(f)
+		for k := 0; k < s.Words*64; k++ {
+			wantPos := k < s.Dim && aos[k] == vector.Nearer
+			wantNeg := k < s.Dim && aos[k] == vector.Farther
+			if gotPos := pos[k/64]&(1<<(k%64)) != 0; gotPos != wantPos {
+				t.Fatalf("face %d comp %d: PosBits %v, want %v", f, k, gotPos, wantPos)
+			}
+			if gotNeg := neg[k/64]&(1<<(k%64)) != 0; gotNeg != wantNeg {
+				t.Fatalf("face %d comp %d: NegBits %v, want %v", f, k, gotNeg, wantNeg)
+			}
+		}
 	}
 }
 
@@ -147,11 +145,9 @@ func TestSoASurvivesSaveLoad(t *testing.T) {
 	if a == nil || b == nil {
 		t.Fatalf("SoA store missing: orig=%v loaded=%v", a != nil, b != nil)
 	}
-	if a.NumFaces != b.NumFaces || a.Dim != b.Dim || a.Denom != b.Denom || a.Words != b.Words {
-		t.Fatalf("header mismatch: %+v vs %+v", a, b)
-	}
-	if !bytes.Equal(int8Bytes(a.Rows), int8Bytes(b.Rows)) {
-		t.Fatal("quantized codes differ after Save/Load")
+	if a.NumFaces != b.NumFaces || a.Dim != b.Dim || a.Words != b.Words || len(a.PosBits) != len(b.PosBits) {
+		t.Fatalf("header mismatch: %d×%d (%d words) vs %d×%d (%d words)",
+			a.NumFaces, a.Dim, a.Words, b.NumFaces, b.Dim, b.Words)
 	}
 	for i := range a.PosBits {
 		if a.PosBits[i] != b.PosBits[i] || a.NegBits[i] != b.NegBits[i] {
@@ -160,28 +156,20 @@ func TestSoASurvivesSaveLoad(t *testing.T) {
 	}
 }
 
-func int8Bytes(s []int8) []byte {
-	out := make([]byte, len(s))
-	for i, v := range s {
-		out[i] = byte(v)
-	}
-	return out
-}
-
 // TestSoANilOnUnquantizable pins the fallback contract: a classifier
-// emitting values no int8 denominator represents leaves SoA nil
-// instead of storing a lossy approximation.
+// emitting fractional values leaves SoA nil — such signatures have no
+// bitplane form.
 func TestSoANilOnUnquantizable(t *testing.T) {
 	div, err := Divide(geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10)), irrationalClassifier{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if div.SoA() != nil {
-		t.Fatal("unquantizable signatures produced an SoA store")
+		t.Fatal("fractional signatures produced an SoA store")
 	}
 }
 
-// irrationalClassifier emits a value representable by no denominator.
+// irrationalClassifier emits a fractional value.
 type irrationalClassifier struct{}
 
 func (irrationalClassifier) NumNodes() int { return 2 }
@@ -189,31 +177,17 @@ func (irrationalClassifier) Classify(p geom.Point, i, j int) vector.Value {
 	return vector.Value(0.123456789)
 }
 
-// TestSoAStarSignatureHasNoPlanes pins the bitplane guard: a signature
-// containing Star still quantizes (Star has a reserved code), but the
-// two-plane ternary form cannot encode its always-zero Def. 8
-// contribution — such a store must carry codes only, no planes.
+// TestSoAStarSignatureHasNoPlanes pins the bitplane guard: the
+// two-plane ternary form cannot encode a Star component's always-zero
+// Def. 8 contribution (it would alias a stored 0), so a division whose
+// signatures contain Star gets no store at all.
 func TestSoAStarSignatureHasNoPlanes(t *testing.T) {
 	div, err := Divide(geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10)), starClassifier{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := div.SoA()
-	if s == nil {
-		t.Fatal("star-bearing ternary division has no SoA store")
-	}
-	if s.Denom != 1 {
-		t.Fatalf("denom %d, want 1", s.Denom)
-	}
-	if s.PosBits != nil || s.NegBits != nil {
-		t.Fatal("star-bearing signatures built bitplanes; stored Star would alias 0")
-	}
-	var scratch vector.Vector
-	for f := range div.Faces {
-		scratch = s.Signature(scratch[:0], f)
-		if !vector.Equal(scratch, div.Faces[f].Signature) {
-			t.Fatalf("face %d: SoA row decodes to %v, AoS %v", f, scratch, div.Faces[f].Signature)
-		}
+	if s := div.SoA(); s != nil {
+		t.Fatalf("star-bearing signatures built a %d×%d bitplane store; stored Star would alias 0", s.NumFaces, s.Dim)
 	}
 }
 
@@ -233,24 +207,13 @@ func (starClassifier) Classify(p geom.Point, i, j int) vector.Value {
 
 // TestSoAAdaptiveDivide pins that the double-level AdaptiveDivide path
 // (which builds its faces through the same finalizeFaces) also carries
-// a store, and that every stored row decodes to its face's AoS
-// signature — face ordering may differ from Divide's, the per-face
-// content may not.
+// a store, and that every face's planes match its AoS signature — face
+// ordering may differ from Divide's, the per-face content may not.
 func TestSoAAdaptiveDivide(t *testing.T) {
 	rc := gridClassifier(t, 9, defaultC())
 	adaptive, err := AdaptiveDivide(fieldRect, rc, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := adaptive.SoA()
-	if s == nil {
-		t.Fatal("adaptive division has no SoA store")
-	}
-	var scratch vector.Vector
-	for f := range adaptive.Faces {
-		scratch = s.Signature(scratch[:0], f)
-		if !vector.Equal(scratch, adaptive.Faces[f].Signature) {
-			t.Fatalf("face %d: SoA row decodes to %v, AoS %v", f, scratch, adaptive.Faces[f].Signature)
-		}
-	}
+	checkPlanes(t, adaptive)
 }

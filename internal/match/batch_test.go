@@ -162,7 +162,7 @@ func TestMatchBatchEquivalentFallback(t *testing.T) {
 }
 
 // TestMatchBatchNoSoAFallsBackToSerial pins the AoS path: a division
-// without a quantized store still matches, on the float kernel over
+// without a bitplane store still matches, on the float kernel over
 // Face.Signature.
 func TestMatchBatchNoSoAFallsBackToSerial(t *testing.T) {
 	div, err := field.Divide(geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10)), fracClassifier{}, 2)
@@ -170,7 +170,7 @@ func TestMatchBatchNoSoAFallsBackToSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	if div.SoA() != nil {
-		t.Fatal("expected an unquantizable division")
+		t.Fatal("expected a division without a store")
 	}
 	v := vector.Vector{0.25}
 	want := (&refHeuristic{Div: div}).Match(v, nil, nil)
@@ -179,8 +179,8 @@ func TestMatchBatchNoSoAFallsBackToSerial(t *testing.T) {
 	requireIdenticalResult(t, "aos-fallback", want, got[0])
 }
 
-// fracClassifier emits a value no int8 denominator represents, so the
-// division carries no SoA store.
+// fracClassifier emits a fractional value, so the division carries no
+// SoA store.
 type fracClassifier struct{}
 
 func (fracClassifier) NumNodes() int { return 2 }
@@ -189,17 +189,17 @@ func (fracClassifier) Classify(p geom.Point, i, j int) vector.Value {
 }
 
 // TestMatchBatchStarSignatureFloatPath covers divisions whose signatures
-// contain Star: the store carries no bitplanes (a stored Star would
-// alias 0 in the integer kernel), so every lane — even pure-ternary
-// queries — must take the float kernel and still agree with the serial
-// oracles bit for bit.
+// contain Star: they get no bitplane store (a stored Star would alias 0
+// in the integer kernel), so every lane — even pure-ternary queries —
+// must take the float kernel and still agree with the serial oracles
+// bit for bit.
 func TestMatchBatchStarSignatureFloatPath(t *testing.T) {
 	div, err := field.Divide(geom.NewRect(geom.Pt(0, 0), geom.Pt(10, 10)), starSigClassifier{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := div.SoA(); s == nil || s.PosBits != nil {
-		t.Fatalf("want a plane-less SoA store, got %+v", s)
+	if div.SoA() != nil {
+		t.Fatal("star-bearing signatures built a bitplane store")
 	}
 	vs := []vector.Vector{
 		{vector.Nearer, vector.Farther, vector.Flipped},

@@ -25,14 +25,14 @@ const patience = 24
 // equal to the serial float64 sum of Def. 8 bit for bit:
 //
 //   - The popcount kernel, for unweighted lanes whose components are all
-//     ternary or Star, when the division's SoA store carries bitplanes.
+//     ternary or Star, when the division has a bitplane store (SoA).
 //     Each component difference is then 0, 1 or 4, so
 //     d² = 4·|sign flips| + 1·|one-sided zeros|, counted 64 pairs at a
 //     time; every partial sum of the float loop is a small integer, which
 //     float64 represents exactly in any order.
 //   - The float kernel over Face.Signature (dist2) for every other lane:
 //     fractional (Def. 10) queries, trust-weighted queries, and divisions
-//     whose store has no bitplanes.
+//     without a store.
 //
 // A Heuristic owns reusable search scratch (a visited-epoch slice, the
 // frontier heap, the query bitplanes, the scan's tie and top-M lists),
@@ -201,9 +201,7 @@ func (m *Heuristic) prepare(v vector.Vector, w []float64) {
 	if m.div != m.Div {
 		m.div, m.soa = m.Div, m.Div.SoA()
 		m.seen, m.epoch = make([]uint32, len(m.Div.Faces)), 0
-		if m.soa == nil || m.soa.PosBits == nil {
-			m.soa = nil // no bitplanes: every lane takes the float kernel
-		} else {
+		if m.soa != nil { // without a store every lane takes the float kernel
 			words := m.soa.Words
 			q := make([]uint64, 3*words)
 			m.qPos, m.qNeg, m.qZero = q[:words], q[words:2*words], q[2*words:]

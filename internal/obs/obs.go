@@ -1,12 +1,13 @@
 // Package obs is the zero-dependency telemetry layer: named counters,
 // gauges and fixed-bucket histograms in a concurrency-safe Registry,
-// plus a lightweight span/event Tracer hook that instrumented components
-// (core, wsnnet, pipeline) invoke when one is attached.
+// plus the structured flight recorder (Recorder, trace.go) that
+// instrumented components (core, wsnnet, pipeline, serve) write spans
+// and events into when one is attached.
 //
 // Design rules:
 //
 //   - Nil is off. Every instrumented component treats a nil *Registry or
-//     nil Tracer as "telemetry disabled" and skips all bookkeeping; the
+//     nil *Recorder as "telemetry disabled" and skips all bookkeeping; the
 //     nil fast path is a pointer check (BenchmarkLocalizeInstrumented
 //     proves < 5% overhead on the localization hot path).
 //   - Metric handles are resolved once, at component construction, never

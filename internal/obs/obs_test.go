@@ -159,29 +159,6 @@ func TestConcurrent(t *testing.T) {
 	}
 }
 
-func TestTracers(t *testing.T) {
-	var ct CountingTracer
-	end := StartSpan(&ct, "core", "localize")
-	end()
-	Emit(&ct, "core", "fallback", 1)
-	if ct.Spans("core", "localize") != 1 || ct.Events("core", "fallback") != 1 {
-		t.Fatalf("counting tracer: spans=%d events=%d",
-			ct.Spans("core", "localize"), ct.Events("core", "fallback"))
-	}
-	// Nil tracer must be a no-op, not a panic.
-	StartSpan(nil, "x", "y")()
-	Emit(nil, "x", "y", 0)
-
-	var b strings.Builder
-	wt := &WriterTracer{W: &b}
-	wt.Span("net", "round")()
-	wt.Event("net", "lost", 2)
-	if !strings.Contains(b.String(), "span  net/round") ||
-		!strings.Contains(b.String(), "event net/lost 2") {
-		t.Fatalf("writer tracer output:\n%s", b.String())
-	}
-}
-
 func TestServe(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("fttt_http_total").Add(9)

@@ -7,11 +7,10 @@ import (
 	"time"
 )
 
-// This file grows the flat Tracer callback into a structured tracing
-// subsystem (DESIGN.md §12): trace/span identifiers with parent→child
-// links and key/value attributes, recorded into a bounded lock-free
-// ring buffer (Recorder) that keeps the last-N records. The contracts
-// mirror the rest of obs:
+// This file is the structured tracing subsystem (DESIGN.md §12):
+// trace/span identifiers with parent→child links and key/value
+// attributes, recorded into a bounded lock-free ring buffer (Recorder)
+// that keeps the last-N records. The contracts mirror the rest of obs:
 //
 //   - nil is off: every Recorder and ActiveSpan method no-ops on a nil
 //     receiver with zero allocations, so instrumented hot paths carry
@@ -94,10 +93,9 @@ func (r Record) Ref() SpanRef { return SpanRef{Trace: r.Trace, Span: r.Span} }
 // survive, older ones are overwritten. A nil *Recorder is "tracing
 // off" — every method no-ops at pointer-check cost, which is the
 // contract that lets instrumented hot paths stay allocation-free.
-//
-// Recorder also implements the legacy Tracer interface, so it can be
-// installed anywhere a Tracer is accepted (plain Span/Event callbacks
-// become root spans and parentless events).
+// Components that trace without a parent span (wsnnet's collection
+// rounds, pipeline rounds) pass the zero SpanRef: Start then opens a
+// root span in a fresh trace and RecordEvent a free-standing event.
 type Recorder struct {
 	slots []atomic.Pointer[Record]
 	next  atomic.Uint64 // total records appended
@@ -219,18 +217,6 @@ func (r *Recorder) Link(from, to SpanRef) {
 	})
 }
 
-// Event implements the legacy Tracer interface: a parentless event.
-func (r *Recorder) Event(component, name string, value float64) {
-	r.RecordEvent(SpanRef{}, component, name, value)
-}
-
-// Span implements the legacy Tracer interface: a root span in a fresh
-// trace, ended by the returned function.
-func (r *Recorder) Span(component, name string) func() {
-	sp := r.Start(SpanRef{}, component, name)
-	return sp.End
-}
-
 // maxSpanAttrs is ActiveSpan's inline attribute capacity. It is a
 // fixed array so annotating a span never allocates; extra attributes
 // beyond it are silently dropped.
@@ -323,98 +309,4 @@ func sanitizeNum(v float64) float64 {
 	default:
 		return v
 	}
-}
-
-// MultiTracer fans Tracer callbacks out to several sinks — the way a
-// metrics tracer and a flight recorder are installed simultaneously
-// without touching call sites. Build one with NewMultiTracer.
-type MultiTracer struct {
-	ts []Tracer
-}
-
-// NewMultiTracer combines tracers into one. Nil entries are skipped
-// and nested MultiTracers are flattened; the result is nil when
-// nothing remains and the single tracer itself when only one does, so
-// instrumented code keeps its plain nil-is-off check.
-func NewMultiTracer(tracers ...Tracer) Tracer {
-	var flat []Tracer
-	for _, t := range tracers {
-		switch tt := t.(type) {
-		case nil:
-			continue
-		case *MultiTracer:
-			flat = append(flat, tt.ts...)
-		default:
-			flat = append(flat, t)
-		}
-	}
-	switch len(flat) {
-	case 0:
-		return nil
-	case 1:
-		return flat[0]
-	default:
-		return &MultiTracer{ts: flat}
-	}
-}
-
-// Unwrap exposes the fan-out targets (for RecorderOf/WithoutRecorder).
-func (m *MultiTracer) Unwrap() []Tracer { return m.ts }
-
-// Event implements Tracer.
-func (m *MultiTracer) Event(component, name string, value float64) {
-	for _, t := range m.ts {
-		t.Event(component, name, value)
-	}
-}
-
-// Span implements Tracer.
-func (m *MultiTracer) Span(component, name string) func() {
-	ends := make([]func(), len(m.ts))
-	for i, t := range m.ts {
-		ends[i] = t.Span(component, name)
-	}
-	return func() {
-		for _, end := range ends {
-			end()
-		}
-	}
-}
-
-// RecorderOf extracts the first Recorder installed in t (directly or
-// inside a MultiTracer). Components that record rich spans resolve it
-// once at construction and drive the structured API; nil means no
-// recorder is attached.
-func RecorderOf(t Tracer) *Recorder {
-	switch tt := t.(type) {
-	case *Recorder:
-		return tt
-	case interface{ Unwrap() []Tracer }:
-		for _, inner := range tt.Unwrap() {
-			if r := RecorderOf(inner); r != nil {
-				return r
-			}
-		}
-	}
-	return nil
-}
-
-// WithoutRecorder returns t with every Recorder stripped — the legacy
-// callback sinks only. Components that drive a Recorder through the
-// structured API route their flat Span/Event callbacks here so the
-// recorder does not capture every operation twice.
-func WithoutRecorder(t Tracer) Tracer {
-	switch tt := t.(type) {
-	case nil, *Recorder:
-		return nil
-	case interface{ Unwrap() []Tracer }:
-		kept := make([]Tracer, 0, len(tt.Unwrap()))
-		for _, inner := range tt.Unwrap() {
-			if stripped := WithoutRecorder(inner); stripped != nil {
-				kept = append(kept, stripped)
-			}
-		}
-		return NewMultiTracer(kept...)
-	}
-	return t
 }

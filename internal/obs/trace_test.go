@@ -93,10 +93,6 @@ func TestRecorderNilSafe(t *testing.T) {
 	if rec.Records() != nil || rec.Cap() != 0 || rec.Dropped() != 0 {
 		t.Error("nil recorder leaked state")
 	}
-	// And through the legacy Tracer interface helpers.
-	end := StartSpan(nil, "c", "n")
-	end()
-	Emit(nil, "c", "n", 1)
 }
 
 func TestRecorderEndIdempotent(t *testing.T) {
@@ -109,21 +105,26 @@ func TestRecorderEndIdempotent(t *testing.T) {
 	}
 }
 
-func TestRecorderLegacyTracer(t *testing.T) {
+// TestRecorderRootSpansAndEvents pins the parentless form wsnnet and
+// pipeline record with: a zero parent opens a root span in a fresh
+// trace, and an event under a zero parent is free-standing.
+func TestRecorderRootSpansAndEvents(t *testing.T) {
 	rec := NewRecorder(8)
-	var tr Tracer = rec
-	end := tr.Span("wsnnet", "collect")
-	tr.Event("wsnnet", "packet_lost", 1)
-	end()
+	sp := rec.Start(SpanRef{}, "wsnnet", "collect")
+	rec.RecordEvent(SpanRef{}, "wsnnet", "packet_lost", 1)
+	sp.End()
 	recs := rec.Records()
 	if len(recs) != 2 {
 		t.Fatalf("got %d records, want 2", len(recs))
 	}
-	if recs[0].Kind != KindEvent || recs[0].Component != "wsnnet" {
-		t.Errorf("legacy event recorded as %+v", recs[0])
+	if ev := recs[0]; ev.Kind != KindEvent || ev.Component != "wsnnet" || ev.Parent != 0 || ev.Value != 1 {
+		t.Errorf("root event recorded as %+v", ev)
 	}
-	if recs[1].Kind != KindSpan || recs[1].Parent != 0 {
-		t.Errorf("legacy span recorded as %+v", recs[1])
+	if span := recs[1]; span.Kind != KindSpan || span.Parent != 0 || span.Trace != TraceID(span.Span) {
+		t.Errorf("root span recorded as %+v", span)
+	}
+	if recs[0].Trace == recs[1].Trace {
+		t.Error("root span and free-standing event share a trace")
 	}
 }
 
@@ -143,73 +144,6 @@ func TestRecorderLink(t *testing.T) {
 	link := recs[0]
 	if link.Kind != KindLink || link.Span != aref.Span || link.LinkSpan != bref.Span {
 		t.Errorf("link = %+v", link)
-	}
-}
-
-func TestMultiTracerFanOut(t *testing.T) {
-	ct := &CountingTracer{}
-	rec := NewRecorder(8)
-	mt := NewMultiTracer(nil, ct, nil, rec)
-	end := StartSpan(mt, "core", "localize")
-	Emit(mt, "core", "degraded", 0.5)
-	end()
-	if got := ct.Spans("core", "localize"); got != 1 {
-		t.Errorf("counting tracer saw %d spans, want 1", got)
-	}
-	if got := ct.Events("core", "degraded"); got != 1 {
-		t.Errorf("counting tracer saw %d events, want 1", got)
-	}
-	if got := len(rec.Records()); got != 2 {
-		t.Errorf("recorder captured %d records, want 2", got)
-	}
-}
-
-func TestMultiTracerCollapses(t *testing.T) {
-	if got := NewMultiTracer(nil, nil); got != nil {
-		t.Errorf("NewMultiTracer(nil, nil) = %v, want nil", got)
-	}
-	ct := &CountingTracer{}
-	if got := NewMultiTracer(nil, ct); got != Tracer(ct) {
-		t.Errorf("single-sink MultiTracer not collapsed: %v", got)
-	}
-	// Nested multis flatten.
-	rec := NewRecorder(8)
-	outer := NewMultiTracer(NewMultiTracer(ct, rec), nil)
-	m, ok := outer.(*MultiTracer)
-	if !ok || len(m.Unwrap()) != 2 {
-		t.Fatalf("nested MultiTracer did not flatten: %#v", outer)
-	}
-}
-
-func TestRecorderOfAndWithoutRecorder(t *testing.T) {
-	ct := &CountingTracer{}
-	rec := NewRecorder(8)
-	mt := NewMultiTracer(ct, rec)
-
-	if got := RecorderOf(mt); got != rec {
-		t.Errorf("RecorderOf(multi) = %v, want the recorder", got)
-	}
-	if got := RecorderOf(rec); got != rec {
-		t.Errorf("RecorderOf(recorder) = %v, want itself", got)
-	}
-	if got := RecorderOf(ct); got != nil {
-		t.Errorf("RecorderOf(counting) = %v, want nil", got)
-	}
-	if got := RecorderOf(nil); got != nil {
-		t.Errorf("RecorderOf(nil) = %v, want nil", got)
-	}
-
-	if got := WithoutRecorder(mt); got != Tracer(ct) {
-		t.Errorf("WithoutRecorder(multi) = %v, want the counting tracer", got)
-	}
-	if got := WithoutRecorder(rec); got != nil {
-		t.Errorf("WithoutRecorder(recorder) = %v, want nil", got)
-	}
-	if got := WithoutRecorder(ct); got != Tracer(ct) {
-		t.Errorf("WithoutRecorder(counting) = %v, want itself", got)
-	}
-	if got := WithoutRecorder(nil); got != nil {
-		t.Errorf("WithoutRecorder(nil) = %v, want nil", got)
 	}
 }
 

@@ -47,8 +47,10 @@ type Config struct {
 	// DESIGN.md §"Telemetry"). Attach the same registry to the Net and
 	// Tracker configs to see all three layers in one scrape.
 	Obs *obs.Registry
-	// Tracer, when non-nil, receives a span per localization round.
-	Tracer obs.Tracer
+	// Tracer, when non-nil, is the flight recorder that receives a root
+	// span per localization round and the smoother's span and residual
+	// event (DESIGN.md §12).
+	Tracer *obs.Recorder
 }
 
 // Update is one localization round's outcome.
@@ -133,7 +135,7 @@ func (s *Service) RunFunc(target mobility.Model, duration float64, rng *randx.St
 
 	var round func(i int)
 	round = func(i int) {
-		endSpan := obs.StartSpan(s.cfg.Tracer, "pipeline", "round")
+		sp := s.cfg.Tracer.Start(obs.SpanRef{}, "pipeline", "round")
 		var wallStart time.Time
 		if s.metrics != nil {
 			wallStart = time.Now()
@@ -171,10 +173,10 @@ func (s *Service) RunFunc(target mobility.Model, duration float64, rng *randx.St
 			if i == 0 {
 				dt = 0
 			}
-			endSmooth := obs.StartSpan(s.cfg.Tracer, "filter", "smooth")
+			smooth := s.cfg.Tracer.Start(obs.SpanRef{}, "filter", "smooth")
 			final = s.cfg.Smoother.Update(raw, dt)
-			endSmooth()
-			obs.Emit(s.cfg.Tracer, "filter", "residual", raw.Dist(final))
+			smooth.End()
+			s.cfg.Tracer.RecordEvent(obs.SpanRef{}, "filter", "residual", raw.Dist(final))
 		}
 		fn(Update{
 			T:            t,
@@ -194,7 +196,7 @@ func (s *Service) RunFunc(target mobility.Model, duration float64, rng *randx.St
 			m.errors.Observe(final.Dist(truth))
 			m.wakeSet.Observe(float64(st.Heard - st.Asleep))
 		}
-		endSpan()
+		sp.End()
 		if i+1 < rounds {
 			// CollectRound may have advanced the clock past the
 			// delivery latency; schedule relative to the round grid.

@@ -171,8 +171,17 @@ func TestStreamDeliversDuringRun(t *testing.T) {
 	// implementation collected every Update first and replayed them, so
 	// all spans were closed before the first receive.)
 	svc := buildService(t, nil, 0)
-	tracer := &obs.CountingTracer{}
-	svc.cfg.Tracer = tracer
+	rec := obs.NewRecorder(0)
+	svc.cfg.Tracer = rec
+	closedRounds := func() int {
+		n := 0
+		for _, r := range rec.Records() {
+			if r.Kind == obs.KindSpan && r.Component == "pipeline" && r.Name == "round" {
+				n++
+			}
+		}
+		return n
+	}
 	mob := mobility.RandomWaypoint(fieldRect, 1, 5, 10, randx.New(1))
 
 	const wantRounds = 21 // duration 10 / period 0.5 + 1
@@ -187,7 +196,7 @@ func TestStreamDeliversDuringRun(t *testing.T) {
 	// Round 0's span closes only after this receive; the producer may
 	// have closed it (and at most started round 1) by now, but the bulk
 	// of the run must still be ahead of us.
-	if closed := tracer.Spans("pipeline", "round"); closed >= wantRounds {
+	if closed := closedRounds(); closed >= wantRounds {
 		t.Fatalf("all %d round spans closed at first update: stream is batching, not streaming", closed)
 	}
 	got := 1
@@ -197,7 +206,7 @@ func TestStreamDeliversDuringRun(t *testing.T) {
 	if got != wantRounds {
 		t.Errorf("received %d updates, want %d", got, wantRounds)
 	}
-	if closed := tracer.Spans("pipeline", "round"); closed != wantRounds {
+	if closed := closedRounds(); closed != wantRounds {
 		t.Errorf("%d spans closed after drain, want %d", closed, wantRounds)
 	}
 }

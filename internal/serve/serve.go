@@ -225,10 +225,9 @@ func (s *Server) createSession(id string, sc SessionConfig) (*Session, error) {
 	var rec *obs.Recorder
 	if s.cfg.TraceRecords > 0 {
 		// The flight recorder rides cfg.Tracer into every per-target
-		// tracker clone; MultiTracer keeps any callback tracer working
-		// alongside it.
+		// tracker clone.
 		rec = obs.NewRecorder(s.cfg.TraceRecords)
-		cfg.Tracer = obs.NewMultiTracer(cfg.Tracer, rec)
+		cfg.Tracer = rec
 	}
 	mt, err := core.NewMulti(cfg)
 	if err != nil {

@@ -80,7 +80,7 @@ func (n *Network) FormClusters(k int) (*Clusters, error) {
 // the member hop and to every hop of the head's path; losing the
 // aggregate loses every report it carried — the aggregation trade-off.
 func (n *Network) CollectRoundClustered(target geom.Point, k int, cl *Clusters, rng *randx.Stream) (*sampling.Group, RoundStats) {
-	endSpan := obs.StartSpan(n.tracer, "wsnnet", "collect_round_clustered")
+	sp := n.cfg.Tracer.Start(obs.SpanRef{}, "wsnnet", "collect_round_clustered")
 	if f := n.cfg.Faults; f != nil {
 		f.BeginRound(n, n.engine.Now())
 	}
@@ -205,7 +205,7 @@ func (n *Network) CollectRoundClustered(target geom.Point, k int, cl *Clusters, 
 		case fwdDeadRelay:
 			stats.Voids += len(reps)
 			stats.DeadRelays += len(reps)
-			obs.Emit(n.tracer, "wsnnet", "report_dead_relay", float64(head))
+			n.cfg.Tracer.RecordEvent(obs.SpanRef{}, "wsnnet", "report_dead_relay", float64(head))
 			continue
 		case fwdLostHop:
 			stats.LostHops += len(reps)
@@ -232,7 +232,7 @@ func (n *Network) CollectRoundClustered(target geom.Point, k int, cl *Clusters, 
 		case fwdDeadRelay:
 			stats.Voids++
 			stats.DeadRelays++
-			obs.Emit(n.tracer, "wsnnet", "report_dead_relay", float64(rep.id))
+			n.cfg.Tracer.RecordEvent(obs.SpanRef{}, "wsnnet", "report_dead_relay", float64(rep.id))
 			continue
 		case fwdLostHop:
 			stats.LostHops++
@@ -250,6 +250,6 @@ func (n *Network) CollectRoundClustered(target geom.Point, k int, cl *Clusters, 
 	}
 	stats.EnergySpent = total(n.Energy) - energyBefore
 	n.recordRound(stats)
-	endSpan()
+	sp.End()
 	return g, stats
 }

@@ -11,14 +11,14 @@ import (
 )
 
 // TestCollectRoundTelemetry drives a lossy network with a registry and
-// tracer attached and checks the substrate counters add up.
+// recorder attached and checks the substrate counters add up.
 func TestCollectRoundTelemetry(t *testing.T) {
 	nodes := []geom.Point{
 		geom.Pt(10, 10), geom.Pt(30, 10), geom.Pt(50, 10),
 		geom.Pt(10, 30), geom.Pt(30, 30), geom.Pt(50, 30),
 	}
 	reg := obs.NewRegistry()
-	var ct obs.CountingTracer
+	rec := obs.NewRecorder(0)
 	n, err := New(Config{
 		Nodes:       nodes,
 		BaseStation: geom.Pt(0, 0),
@@ -29,7 +29,7 @@ func TestCollectRoundTelemetry(t *testing.T) {
 		ReportBits:  256,
 		Epsilon:     1,
 		Obs:         reg,
-		Tracer:      &ct,
+		Tracer:      rec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,16 +62,16 @@ func TestCollectRoundTelemetry(t *testing.T) {
 		t.Error("no energy recorded")
 	}
 	// 40% hop loss over 10 rounds: some reports must have died, and the
-	// tracer must have seen each as an event.
+	// recorder must have seen each as an event.
 	lost := reg.Counter("fttt_net_reports_lost_total").Value()
 	if lost <= 0 {
 		t.Error("no lost reports under 40% hop loss")
 	}
-	if got := ct.Events("wsnnet", "report_lost"); float64(got) != lost {
-		t.Errorf("tracer lost events = %d, metrics lost = %v", got, lost)
+	if got := countRecords(rec, obs.KindEvent, "wsnnet", "report_lost"); float64(got) != lost {
+		t.Errorf("recorder lost events = %d, metrics lost = %v", got, lost)
 	}
-	if got := ct.Spans("wsnnet", "collect_round"); got != rounds {
-		t.Errorf("tracer saw %d round spans, want %d", got, rounds)
+	if got := countRecords(rec, obs.KindSpan, "wsnnet", "collect_round"); got != rounds {
+		t.Errorf("recorder saw %d round spans, want %d", got, rounds)
 	}
 
 	// Per-mote energy gauges mirror Network.Energy.
@@ -82,6 +82,17 @@ func TestCollectRoundTelemetry(t *testing.T) {
 	if !strings.Contains(b.String(), `fttt_net_mote_energy_joules{mote="0"}`) {
 		t.Errorf("snapshot missing per-mote energy series:\n%s", b.String())
 	}
+}
+
+// countRecords counts rec's records of kind under component/name.
+func countRecords(rec *obs.Recorder, kind, component, name string) int {
+	n := 0
+	for _, r := range rec.Records() {
+		if r.Kind == kind && r.Component == component && r.Name == name {
+			n++
+		}
+	}
+	return n
 }
 
 // TestClusteredRoundTelemetry checks the clustered collection path

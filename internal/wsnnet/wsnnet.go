@@ -59,9 +59,10 @@ type Config struct {
 	// heard/delivered/lost, hop counts, delivery latency, collisions,
 	// energy drained per mote, dead motes — DESIGN.md §"Telemetry").
 	Obs *obs.Registry
-	// Tracer, when non-nil, receives a span per collection round and an
-	// event per lost/unroutable/collided report.
-	Tracer obs.Tracer
+	// Tracer, when non-nil, is the flight recorder that receives a root
+	// span per collection round and a free-standing event per
+	// lost/unroutable/collided report (DESIGN.md §12).
+	Tracer *obs.Recorder
 	// Faults, when non-nil, injects scripted failures into every
 	// collection round (nil-is-off, like Obs): crash/revive and battery
 	// drain at round start, burst loss per hop, calibration drift per
@@ -137,7 +138,6 @@ type Network struct {
 	// until SetEnergyScale first deviates from nominal.
 	energyScale []float64
 	metrics     *netMetrics
-	tracer      obs.Tracer
 }
 
 // netMetrics caches the substrate metric handles, resolved once at New.
@@ -204,7 +204,6 @@ func New(cfg Config) (*Network, error) {
 	if cfg.Obs != nil {
 		n.metrics = newNetMetrics(cfg.Obs, len(cfg.Nodes))
 	}
-	n.tracer = cfg.Tracer
 	return n, nil
 }
 
@@ -362,7 +361,7 @@ func (n *Network) CollectRoundFocused(target, focus geom.Point, wakeRadius float
 }
 
 func (n *Network) collectRound(target geom.Point, k int, rng *randx.Stream, awake func(i int) bool) (*sampling.Group, RoundStats) {
-	endSpan := obs.StartSpan(n.tracer, "wsnnet", "collect_round")
+	sp := n.cfg.Tracer.Start(obs.SpanRef{}, "wsnnet", "collect_round")
 	if f := n.cfg.Faults; f != nil {
 		f.BeginRound(n, n.engine.Now())
 	}
@@ -398,7 +397,7 @@ func (n *Network) collectRound(target geom.Point, k int, rng *randx.Stream, awak
 			// a same-slot neighbor.
 			n.spend(i, sampleEnergy*float64(k)+txEnergy(n.cfg.ReportBits, n.cfg.CommRange))
 			stats.Collisions++
-			obs.Emit(n.tracer, "wsnnet", "report_collided", float64(i))
+			n.cfg.Tracer.RecordEvent(obs.SpanRef{}, "wsnnet", "report_collided", float64(i))
 			continue
 		}
 		// Sample the target's signal (shadowing constant within the
@@ -421,7 +420,7 @@ func (n *Network) collectRound(target geom.Point, k int, rng *randx.Stream, awak
 		path, routable := n.PathTo(i)
 		if !routable {
 			stats.Voids++
-			obs.Emit(n.tracer, "wsnnet", "report_void", float64(i))
+			n.cfg.Tracer.RecordEvent(obs.SpanRef{}, "wsnnet", "report_void", float64(i))
 			continue
 		}
 		outcome, latency := n.forward(path, n.cfg.ReportBits, loss)
@@ -429,11 +428,11 @@ func (n *Network) collectRound(target geom.Point, k int, rng *randx.Stream, awak
 		case fwdDeadRelay:
 			stats.Voids++
 			stats.DeadRelays++
-			obs.Emit(n.tracer, "wsnnet", "report_dead_relay", float64(i))
+			n.cfg.Tracer.RecordEvent(obs.SpanRef{}, "wsnnet", "report_dead_relay", float64(i))
 			continue
 		case fwdLostHop:
 			stats.LostHops++
-			obs.Emit(n.tracer, "wsnnet", "report_lost", float64(i))
+			n.cfg.Tracer.RecordEvent(obs.SpanRef{}, "wsnnet", "report_lost", float64(i))
 			continue
 		}
 		stats.Delivered++
@@ -456,7 +455,7 @@ func (n *Network) collectRound(target geom.Point, k int, rng *randx.Stream, awak
 	}
 	stats.EnergySpent = total(n.Energy) - energyBefore
 	n.recordRound(stats)
-	endSpan()
+	sp.End()
 	return g, stats
 }
 
