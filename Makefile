@@ -51,10 +51,11 @@ soak:
 	$(GO) test -race -tags soak -count 1 -run TestLoadSoak -v ./internal/serve/loadtest
 
 # docscheck is the documentation gate: vet, the package-doc-comment
-# audit, and the runnable facade examples.
+# audit, the reachability audit of internal/ (deadcode_test.go) with its
+# self-test, and the runnable facade examples.
 docscheck:
 	$(GO) vet ./...
-	$(GO) test -run 'TestPackageDocComments|TestMissingPackageDocsDetects|Example' -count 1 ./...
+	$(GO) test -run 'TestPackageDocComments|TestMissingPackageDocsDetects|TestNoUnreachedInternalFuncs|TestUnreachedFuncsDetects|Example' -count 1 ./...
 
 # csvcheck is the byte-identity gate for the experiment tables that
 # results/golden does not cover: it regenerates them into a temporary

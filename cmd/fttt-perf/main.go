@@ -17,9 +17,12 @@
 //	fttt-perf baseline                      # regenerate results/perf/baseline.json
 //	fttt-perf run -profiles results/perf/profiles  # + cpu/heap pprof per scenario
 //
-// Exit status: 0 on success, 1 on usage or runtime errors, 2 when
-// compare finds a regression (or a scenario missing from the current
-// run).
+// compare runs the suite at the baseline's GOMAXPROCS and refuses a
+// -current report recorded at a different one.
+//
+// Exit status: 0 on success, 1 on usage or runtime errors (a GOMAXPROCS
+// mismatch included), 2 when compare finds a regression (or a scenario
+// missing from the current run).
 package main
 
 import (
@@ -29,6 +32,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"time"
 
 	"fttt/internal/perfbench"
@@ -195,13 +199,26 @@ func cmdCompare(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
+	// Timings taken at different GOMAXPROCS are not comparable (the
+	// serving scenarios' goroutine handoffs wake other processors), so
+	// compare runs the suite at the baseline's setting and refuses a
+	// pre-recorded report taken at another.
 	var cur *perfbench.Report
 	if *current != "" {
 		if cur, err = perfbench.ReadFile(*current); err != nil {
 			fmt.Fprintf(stderr, "fttt-perf: current: %v\n", err)
 			return 1
 		}
+		if base.GOMAXPROCS > 0 && cur.GOMAXPROCS != base.GOMAXPROCS {
+			fmt.Fprintf(stderr, "fttt-perf: current report was recorded at GOMAXPROCS=%d but the baseline at GOMAXPROCS=%d; rerun it at the baseline's setting\n",
+				cur.GOMAXPROCS, base.GOMAXPROCS)
+			return 1
+		}
 	} else {
+		if base.GOMAXPROCS > 0 {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(base.GOMAXPROCS))
+			fmt.Fprintf(stderr, "fttt-perf: running at the baseline's GOMAXPROCS=%d\n", base.GOMAXPROCS)
+		}
 		opts, err := rf.options(stderr)
 		if err != nil {
 			fmt.Fprintf(stderr, "fttt-perf: %v\n", err)

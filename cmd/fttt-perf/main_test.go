@@ -92,6 +92,32 @@ func TestCompareMissingScenarioFails(t *testing.T) {
 	}
 }
 
+// TestCompareRefusesGOMAXPROCSMismatch: a pre-recorded report taken at
+// another GOMAXPROCS than the baseline's is refused (exit 1, not judged).
+func TestCompareRefusesGOMAXPROCSMismatch(t *testing.T) {
+	dir := t.TempDir()
+	base := synthetic(t, dir, "baseline.json", 1000, 84)
+	rep, err := perfbench.ReadFile(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.GOMAXPROCS = 4
+	cur := filepath.Join(dir, "procs4.json")
+	if err := rep.WriteFile(cur); err != nil {
+		t.Fatal(err)
+	}
+	var out, errw bytes.Buffer
+	if code := run([]string{"compare", "-baseline", base, "-current", cur}, &out, &errw); code != 1 {
+		t.Fatalf("GOMAXPROCS mismatch exited %d, want 1 (stderr: %s)", code, errw.String())
+	}
+	if !strings.Contains(errw.String(), "GOMAXPROCS=4") || !strings.Contains(errw.String(), "GOMAXPROCS=1") {
+		t.Errorf("refusal does not name both settings: %s", errw.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("refused compare still printed a delta table:\n%s", out.String())
+	}
+}
+
 func TestRunSubcommandWritesReport(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "perf", "BENCH_test.json")
 	var stdout, stderr bytes.Buffer

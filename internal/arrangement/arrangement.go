@@ -96,12 +96,3 @@ func Analyze(nodes []geom.Point, c float64) (Stats, error) {
 		Faces:         FaceCount(circles),
 	}, nil
 }
-
-// MaxFaces returns the general-position upper bound for m circles:
-// m² − m + 2 (every pair crossing twice).
-func MaxFaces(m int) int {
-	if m <= 0 {
-		return 1
-	}
-	return m*m - m + 2
-}

@@ -83,10 +83,10 @@ func TestBoundaryCircles(t *testing.T) {
 		t.Errorf("centres not mirrored: %v, %v", circles[0].C, circles[1].C)
 	}
 	// The c-ratio circle encloses the far node j (first of the pair).
-	if !circles[0].Contains(nodes[1]) {
+	if circles[0].C.Dist(nodes[1]) >= circles[0].R {
 		t.Error("first circle should enclose node j")
 	}
-	if !circles[1].Contains(nodes[0]) {
+	if circles[1].C.Dist(nodes[0]) >= circles[1].R {
 		t.Error("second circle should enclose node i")
 	}
 }
@@ -134,4 +134,13 @@ func TestAnalyzeSinglePair(t *testing.T) {
 	if st.Faces != 3 || st.Intersections != 0 {
 		t.Errorf("single pair stats = %+v, want 3 faces, 0 intersections", st)
 	}
+}
+
+// MaxFaces returns the general-position upper bound for m circles:
+// m² − m + 2 (every pair crossing twice).
+func MaxFaces(m int) int {
+	if m <= 0 {
+		return 1
+	}
+	return m*m - m + 2
 }

@@ -121,9 +121,6 @@ func NewDirectMLEWithDivision(div *field.Division, nodes []geom.Point) *DirectML
 	return &DirectMLE{fo: newFaceOrders(div, nodes)}
 }
 
-// Division exposes the certain-face division (for benches and tests).
-func (d *DirectMLE) Division() *field.Division { return d.fo.div }
-
 // LocalizeGroup estimates the target position from one grouping sampling.
 // Ties at the maximum correlation average their centroids.
 func (d *DirectMLE) LocalizeGroup(g *sampling.Group) geom.Point {
@@ -204,9 +201,6 @@ func NewPMWithDivision(div *field.Division, nodes []geom.Point, cfg PMConfig) (*
 		scores: make(map[int]float64),
 	}, nil
 }
-
-// Division exposes the certain-face division (for benches and tests).
-func (p *PM) Division() *field.Division { return p.fo.div }
 
 // Reset clears the accumulated path state.
 func (p *PM) Reset() { p.scores = make(map[int]float64) }

@@ -349,35 +349,16 @@ func (d *Defense) ObserveGroup(g *sampling.Group) {
 	}
 }
 
-// Vote is one witness's composed opinion on a pair relation.
-type Vote struct {
-	// Sign is the vouched relation: +1 (first node nearer) or −1.
-	Sign int
-	// Weight is the witness's trust weight (> 0).
-	Weight float64
-}
-
-// QuorumVote tallies witness votes for one pair: it returns the winning
-// sign and true when the total weight is positive and reaches minQuorum
-// and the winning sign holds at least threshold of it; otherwise
-// (0, false) — no quorum.
+// quorum decides one pair's witness tally, pos and neg being the trust
+// weight vouching +1 and −1: it returns the winning sign and true when
+// the total weight is positive and reaches minQuorum and the winning
+// sign holds at least threshold of it; otherwise (0, false) — no
+// quorum.
 // With a unanimous honest majority H and adversarial weight M, the
 // outcome equals the honest-only outcome whenever M < H·(1−θ)/θ for
 // threshold θ > 1/2 — the soundness property FuzzByzQuorumVote pins,
 // the k-malicious bound of Delaët et al. in weight form.
-func QuorumVote(votes []Vote, minQuorum, threshold float64) (int, bool) {
-	var pos, neg float64
-	for _, v := range votes {
-		if v.Weight <= 0 {
-			continue
-		}
-		switch {
-		case v.Sign > 0:
-			pos += v.Weight
-		case v.Sign < 0:
-			neg += v.Weight
-		}
-	}
+func quorum(pos, neg, minQuorum, threshold float64) (int, bool) {
 	total := pos + neg
 	if total <= 0 || total < minQuorum {
 		return 0, false
@@ -588,18 +569,7 @@ func (d *Defense) voteOnPair(i, j int) (int, bool) {
 			neg += wt
 		}
 	}
-	total := pos + neg
-	if total < d.cfg.MinQuorum {
-		return 0, false
-	}
-	win, w := 1, pos
-	if neg > pos {
-		win, w = -1, neg
-	}
-	if w < d.cfg.QuorumThreshold*total {
-		return 0, false
-	}
-	return win, true
+	return quorum(pos, neg, d.cfg.MinQuorum, d.cfg.QuorumThreshold)
 }
 
 // Observe runs the defense's post-match learning phase: it charges each

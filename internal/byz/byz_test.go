@@ -2,6 +2,7 @@ package byz
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"fttt/internal/obs"
@@ -28,24 +29,49 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// vote is one witness's composed opinion on a pair relation: the
+// vouched sign (+1, −1, or 0 for abstain) and its trust weight.
+type vote struct {
+	sign   int
+	weight float64
+}
+
+// tally sums votes into the per-sign weights quorum decides on,
+// skipping non-positive weights and abstentions as voteOnPair does.
+func tally(votes []vote) (pos, neg float64) {
+	for _, v := range votes {
+		if v.weight <= 0 {
+			continue
+		}
+		switch {
+		case v.sign > 0:
+			pos += v.weight
+		case v.sign < 0:
+			neg += v.weight
+		}
+	}
+	return pos, neg
+}
+
 func TestQuorumVote(t *testing.T) {
-	v := func(sign int, w float64) Vote { return Vote{Sign: sign, Weight: w} }
 	cases := []struct {
 		name      string
-		votes     []Vote
+		votes     []vote
 		minQ, thr float64
 		wantSign  int
 		wantOK    bool
 	}{
-		{"unanimous", []Vote{v(1, 1), v(1, 1), v(1, 1)}, 3, 2.0 / 3, 1, true},
-		{"below min quorum", []Vote{v(1, 1), v(1, 1)}, 3, 2.0 / 3, 0, false},
-		{"split below threshold", []Vote{v(1, 2), v(-1, 2)}, 3, 2.0 / 3, 0, false},
-		{"supermajority negative", []Vote{v(-1, 3), v(1, 1)}, 3, 0.75, -1, true},
-		{"zero weights ignored", []Vote{v(1, 0), v(-1, 3)}, 3, 2.0 / 3, -1, true},
+		{"unanimous", []vote{{1, 1}, {1, 1}, {1, 1}}, 3, 2.0 / 3, 1, true},
+		{"below min quorum", []vote{{1, 1}, {1, 1}}, 3, 2.0 / 3, 0, false},
+		{"split below threshold", []vote{{1, 2}, {-1, 2}}, 3, 2.0 / 3, 0, false},
+		{"supermajority negative", []vote{{-1, 3}, {1, 1}}, 3, 0.75, -1, true},
+		{"zero weights ignored", []vote{{1, 0}, {-1, 3}}, 3, 2.0 / 3, -1, true},
 		{"no votes", nil, 1, 0.6, 0, false},
+		{"no weight under a zero quorum", nil, 0, 0.6, 0, false},
 	}
 	for _, c := range cases {
-		sign, ok := QuorumVote(c.votes, c.minQ, c.thr)
+		pos, neg := tally(c.votes)
+		sign, ok := quorum(pos, neg, c.minQ, c.thr)
 		if sign != c.wantSign || ok != c.wantOK {
 			t.Errorf("%s: got (%d,%v), want (%d,%v)", c.name, sign, ok, c.wantSign, c.wantOK)
 		}
@@ -90,7 +116,7 @@ func TestHonestFleetStaysUntouched(t *testing.T) {
 		if w := d.Apply(v); w != nil {
 			t.Fatalf("round %d: honest fleet got weights %v", round, w)
 		}
-		if !vector.Equal(v, before) {
+		if !slices.Equal(v, before) {
 			t.Fatalf("round %d: Apply modified an honest vector", round)
 		}
 		d.Observe(honestVector(n))
@@ -341,7 +367,7 @@ func refVoteOnPair(d *Defense, i, j int) (int, bool) {
 			neg += wt
 		}
 	}
-	return QuorumVote([]Vote{{1, pos}, {-1, neg}}, d.cfg.MinQuorum, d.cfg.QuorumThreshold)
+	return quorum(pos, neg, d.cfg.MinQuorum, d.cfg.QuorumThreshold)
 }
 
 // refApply is Apply's alert path without the link table: per-pair node

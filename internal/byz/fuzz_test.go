@@ -9,8 +9,8 @@ import (
 // vote, the first picking the sign (+1 / −1 / abstain-by-zero-weight)
 // and the second a positive weight on a coarse grid. Fuzzing the legal
 // domain keeps every failure a genuine contract violation.
-func decodeVotes(data []byte) []Vote {
-	votes := make([]Vote, 0, len(data)/2)
+func decodeVotes(data []byte) []vote {
+	votes := make([]vote, 0, len(data)/2)
 	for i := 0; i+1 < len(data); i += 2 {
 		sign := 1
 		switch data[i] % 3 {
@@ -20,13 +20,13 @@ func decodeVotes(data []byte) []Vote {
 			sign = 0
 		}
 		w := float64(data[i+1]%64) / 16 // 0, 1/16, ..., ~4
-		votes = append(votes, Vote{Sign: sign, Weight: w})
+		votes = append(votes, vote{sign, w})
 	}
 	return votes
 }
 
-// FuzzByzQuorumVote pins QuorumVote's contracts on arbitrary legal vote
-// sets: the outcome is deterministic and sign-antisymmetric, no quorum
+// FuzzByzQuorumVote pins quorum's contracts — the tally decision
+// voteOnPair runs — on arbitrary legal vote sets: the outcome is deterministic and sign-antisymmetric, no quorum
 // is ever reached below minQuorum total weight or below the threshold
 // share, and — the k-malicious soundness bound of Delaët et al. in
 // weight form — when the honest majority H votes unanimously and the
@@ -43,11 +43,11 @@ func FuzzByzQuorumVote(f *testing.F) {
 		if math.IsNaN(threshold) || threshold <= 0.5 || threshold > 1 {
 			threshold = 2.0 / 3
 		}
-		votes := decodeVotes(data)
+		pos, neg := tally(decodeVotes(data))
 
-		sign, ok := QuorumVote(votes, minQuorum, threshold)
-		if sign2, ok2 := QuorumVote(votes, minQuorum, threshold); sign2 != sign || ok2 != ok {
-			t.Fatalf("QuorumVote not deterministic: (%d,%v) vs (%d,%v)", sign, ok, sign2, ok2)
+		sign, ok := quorum(pos, neg, minQuorum, threshold)
+		if sign2, ok2 := quorum(pos, neg, minQuorum, threshold); sign2 != sign || ok2 != ok {
+			t.Fatalf("quorum not deterministic: (%d,%v) vs (%d,%v)", sign, ok, sign2, ok2)
 		}
 		if !ok && sign != 0 {
 			t.Fatalf("no-quorum outcome carries sign %d", sign)
@@ -56,18 +56,7 @@ func FuzzByzQuorumVote(f *testing.F) {
 			t.Fatalf("quorum outcome sign = %d, want ±1", sign)
 		}
 
-		// Tally the weights ourselves to check quorum and threshold.
-		var pos, neg float64
-		for _, v := range votes {
-			if v.Weight <= 0 {
-				continue
-			}
-			if v.Sign > 0 {
-				pos += v.Weight
-			} else if v.Sign < 0 {
-				neg += v.Weight
-			}
-		}
+		// Check quorum and threshold against the summed weights.
 		total := pos + neg
 		if ok && total < minQuorum {
 			t.Fatalf("quorum reached with total weight %v < minQuorum %v", total, minQuorum)
@@ -83,11 +72,7 @@ func FuzzByzQuorumVote(f *testing.F) {
 		}
 
 		// Antisymmetry: flipping every vote flips the outcome sign.
-		flipped := make([]Vote, len(votes))
-		for i, v := range votes {
-			flipped[i] = Vote{Sign: -v.Sign, Weight: v.Weight}
-		}
-		fsign, fok := QuorumVote(flipped, minQuorum, threshold)
+		fsign, fok := quorum(neg, pos, minQuorum, threshold)
 		if fok != ok || fsign != -sign {
 			t.Fatalf("not antisymmetric: (%d,%v) vs flipped (%d,%v)", sign, ok, fsign, fok)
 		}
@@ -100,10 +85,9 @@ func FuzzByzQuorumVote(f *testing.F) {
 		// The tiny relative slack keeps rounding at the exact bound from
 		// reading as a soundness violation.
 		if h >= minQuorum && h > 0 && m < h*(1-threshold)/threshold-1e-9*(h+m) {
-			hsign, hok := QuorumVote(votes, minQuorum, threshold)
-			if !hok || hsign != 1 {
+			if !ok || sign != 1 {
 				t.Fatalf("soundness violated: H=%v M=%v θ=%v gave (%d,%v), want (+1,true)",
-					h, m, threshold, hsign, hok)
+					h, m, threshold, sign, ok)
 			}
 		}
 	})

@@ -320,7 +320,8 @@ type sessionWire struct {
 }
 
 // handleList fans GET /v1/sessions out to every member (leaving ones
-// included: their sessions are still real until migrated) and merges
+// included: their sessions are still real until migrated), refreshes
+// each member's fttt_router_sessions gauge from its page, and merges
 // the results sorted by session ID.
 func (r *Router) handleList(w http.ResponseWriter, req *http.Request) {
 	r.mu.Lock()
@@ -334,6 +335,7 @@ func (r *Router) handleList(w http.ResponseWriter, req *http.Request) {
 				map[string]string{"error": fmt.Sprintf("cluster: list %s: %v", m.be.Name, err)})
 			return
 		}
+		r.met.sessions[m.be.Name].Set(float64(len(page)))
 		merged = append(merged, page...)
 	}
 	sort.SliceStable(merged, func(i, j int) bool {
@@ -392,25 +394,6 @@ func (r *Router) getJSON(ctx context.Context, m *member, path string, v any) err
 }
 
 // --- migration ---
-
-// SessionCounts fans out to every member and returns live session
-// counts by backend name, refreshing the per-backend session gauges.
-// Leaving members are included while they still hold sessions.
-func (r *Router) SessionCounts(ctx context.Context) (map[string]int, error) {
-	r.mu.Lock()
-	members := append([]*member(nil), r.members...)
-	r.mu.Unlock()
-	counts := make(map[string]int, len(members))
-	for _, m := range members {
-		var page []json.RawMessage
-		if err := r.getJSON(ctx, m, "/v1/sessions", &page); err != nil {
-			return nil, fmt.Errorf("cluster: sessions on %s: %w", m.be.Name, err)
-		}
-		counts[m.be.Name] = len(page)
-		r.met.sessions[m.be.Name].Set(float64(len(page)))
-	}
-	return counts, nil
-}
 
 // Migrate drains backend name out of the cluster: it is removed from
 // placement, each of its sessions' state is exported and restored onto

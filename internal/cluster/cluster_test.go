@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -188,7 +189,7 @@ func localize(t *testing.T, client *http.Client, baseURL, id, target string, x, 
 // counters.
 func TestRouterEndToEnd(t *testing.T) {
 	backends := startBackends(t, "b1", "b2", "b3")
-	rt, ts := startRouter(t, backends, 0)
+	_, ts := startRouter(t, backends, 0)
 	client := ts.Client()
 
 	const sessions = 6
@@ -243,18 +244,14 @@ func TestRouterEndToEnd(t *testing.T) {
 	io.Copy(io.Discard, resp.Body) //nolint:errcheck
 	resp.Body.Close()
 
-	counts, err := rt.SessionCounts(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Router metrics: per-backend request counters present, and the
+	// session gauges refreshed by the merged list above.
+	gauges := sessionGauges(t, client, ts.URL)
 	for _, b := range backends {
-		if counts[b.name] != byBackend[b.name] {
-			t.Errorf("SessionCounts[%s] = %d, want %d", b.name, counts[b.name], byBackend[b.name])
+		if gauges[b.name] != float64(byBackend[b.name]) {
+			t.Errorf("fttt_router_sessions{backend=%q} = %v, want %d", b.name, gauges[b.name], byBackend[b.name])
 		}
 	}
-
-	// Router metrics: per-backend request counters present and the
-	// session gauges refreshed by SessionCounts.
 	resp, err = client.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -263,13 +260,118 @@ func TestRouterEndToEnd(t *testing.T) {
 	resp.Body.Close()
 	for _, want := range []string{
 		`fttt_router_requests_total{backend="b1"}`,
-		`fttt_router_sessions{backend="b2"}`,
 		"fttt_router_backends 3",
 	} {
 		if !bytes.Contains(mb, []byte(want)) {
 			t.Errorf("router /metrics missing %q", want)
 		}
 	}
+}
+
+// listSessions returns the session IDs of the router's merged
+// GET /v1/sessions.
+func listSessions(t *testing.T, client *http.Client, baseURL string) []string {
+	t.Helper()
+	resp, err := client.Get(baseURL + "/v1/sessions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list []struct {
+		ID string `json:"id"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]string, len(list))
+	for i, sw := range list {
+		ids[i] = sw.ID
+	}
+	return ids
+}
+
+// sessionGauges scrapes the router's /metrics and returns every
+// fttt_router_sessions{backend=...} value by backend name.
+func sessionGauges(t *testing.T, client *http.Client, baseURL string) map[string]float64 {
+	t.Helper()
+	resp, err := client.Get(baseURL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out := map[string]float64{}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		rest, ok := strings.CutPrefix(sc.Text(), `fttt_router_sessions{backend="`)
+		if !ok {
+			continue
+		}
+		name, val, ok := strings.Cut(rest, `"} `)
+		if !ok {
+			t.Fatalf("malformed gauge line %q", sc.Text())
+		}
+		v, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = v
+	}
+	return out
+}
+
+// TestRouterSessionGaugesRefreshOnList pins the operator view: every
+// GET /v1/sessions through the router sets each backend's
+// fttt_router_sessions gauge to the number of sessions it listed, so a
+// running router's /metrics follows creates and deletes.
+func TestRouterSessionGaugesRefreshOnList(t *testing.T) {
+	backends := startBackends(t, "b1", "b2")
+	_, ts := startRouter(t, backends, 0)
+	client := ts.Client()
+
+	owners := map[string]string{}
+	for i := 0; i < 10; i++ {
+		id := createSession(t, client, ts.URL)
+		owners[id] = Place(id, []string{"b1", "b2"})
+	}
+	if owners["c1"] == owners["c7"] {
+		t.Fatalf("fixture degenerate: c1 and c7 both on %s", owners["c1"])
+	}
+	check := func(when string) {
+		t.Helper()
+		want := map[string]float64{"b1": 0, "b2": 0}
+		for _, owner := range owners {
+			want[owner]++
+		}
+		if ids := listSessions(t, client, ts.URL); len(ids) != len(owners) {
+			t.Fatalf("%s: list has %d sessions, want %d", when, len(ids), len(owners))
+		}
+		got := sessionGauges(t, client, ts.URL)
+		for name, w := range want {
+			if got[name] != w {
+				t.Errorf("%s: fttt_router_sessions{backend=%q} = %v, want %v", when, name, got[name], w)
+			}
+		}
+	}
+	check("after create")
+
+	// Delete one session from each backend.
+	for _, id := range []string{"c1", "c7"} {
+		req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/"+id, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("delete %s: status %d", id, resp.StatusCode)
+		}
+		delete(owners, id)
+	}
+	check("after delete")
 }
 
 // TestRouterSSEStream proves estimate streams survive the proxy hop:
@@ -372,13 +474,12 @@ func TestMigrateMovesOnlyDrainedSessions(t *testing.T) {
 		}
 		wantCounts[owner]++
 	}
-	counts, err := rt.SessionCounts(ctx)
-	if err != nil {
-		t.Fatal(err)
+	if ids := listSessions(t, client, ts.URL); len(ids) != sessions {
+		t.Fatalf("post-drain list has %d sessions, want %d", len(ids), sessions)
 	}
 	for _, name := range []string{"b1", "b2", "b3"} {
-		if counts[name] != wantCounts[name] {
-			t.Errorf("post-drain %s holds %d sessions, want %d", name, counts[name], wantCounts[name])
+		if got := rt.met.sessions[name].Value(); got != float64(wantCounts[name]) {
+			t.Errorf("post-drain %s holds %v sessions, want %d", name, got, wantCounts[name])
 		}
 	}
 

@@ -361,11 +361,6 @@ func NewWithDivision(cfg Config, div *field.Division) (*Tracker, error) {
 // NodeTrust are safe between localizations.
 func (t *Tracker) Defense() *byz.Defense { return t.defense }
 
-// FaultScheduler exposes the tracker's fault scheduler (nil when no
-// FaultScript is configured); callers driving Localize directly can
-// Seek it to their own virtual time.
-func (t *Tracker) FaultScheduler() *faults.Scheduler { return t.faults }
-
 // Division exposes the preprocessed field division (read-only).
 func (t *Tracker) Division() *field.Division { return t.div }
 
@@ -669,15 +664,6 @@ func (t *Tracker) TrackParallel(traces [][]geom.Point, times [][]float64, rng *r
 		out[i] = clones[i].Track(traces[i], tm, streams[i])
 	})
 	return out, nil
-}
-
-// Errors extracts the per-point tracking errors from a tracked trace.
-func Errors(pts []TrackedPoint) []float64 {
-	errs := make([]float64, len(pts))
-	for i, p := range pts {
-		errs[i] = p.Error
-	}
-	return errs
 }
 
 // RequiredSamplingTimes returns the minimum grouping-sampling count k

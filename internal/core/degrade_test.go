@@ -281,3 +281,8 @@ func makeTrace(x, y float64, n int) []geom.Point {
 	}
 	return pts
 }
+
+// FaultScheduler exposes the tracker's fault scheduler (nil when no
+// FaultScript is configured); callers driving Localize directly can
+// Seek it to their own virtual time.
+func (t *Tracker) FaultScheduler() *faults.Scheduler { return t.faults }

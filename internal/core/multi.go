@@ -331,14 +331,7 @@ func (m *MultiTracker) FaultScheduler(targetID string) (*faults.Scheduler, error
 	if err != nil {
 		return nil, err
 	}
-	return ts.tr.FaultScheduler(), nil
-}
-
-// Forget drops a target's state (e.g. it left the field).
-func (m *MultiTracker) Forget(targetID string) {
-	m.mu.Lock()
-	delete(m.targets, targetID)
-	m.mu.Unlock()
+	return ts.tr.faults, nil
 }
 
 // Division exposes the shared preprocessed division.

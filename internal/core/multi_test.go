@@ -88,20 +88,6 @@ func TestMultiTrackerIndependentWarmStarts(t *testing.T) {
 	}
 }
 
-func TestMultiTrackerForget(t *testing.T) {
-	cfg := defaultConfig(9)
-	m, _ := NewMulti(cfg)
-	s := &sampling.Sampler{Model: cfg.Model, Nodes: cfg.Nodes, Range: cfg.Range}
-	g := s.Sample(geom.Pt(50, 50), cfg.SamplingTimes, randx.New(3))
-	if _, err := m.LocalizeGroup("x", g); err != nil {
-		t.Fatal(err)
-	}
-	m.Forget("x")
-	if len(m.Targets()) != 0 {
-		t.Errorf("Targets after Forget = %v", m.Targets())
-	}
-}
-
 func TestMultiTrackerEmptyID(t *testing.T) {
 	cfg := defaultConfig(9)
 	m, _ := NewMulti(cfg)

@@ -157,8 +157,10 @@ func TestSnapshotRestoreFaultClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := sched.CrashedCount(), srcSched.CrashedCount(); got != want {
-		t.Fatalf("restored crashed count %d, want %d", got, want)
+	for i := range cfg.Nodes {
+		if got, want := sched.Crashed(i), srcSched.Crashed(i); got != want {
+			t.Fatalf("restored node %d crashed = %v, want %v", i, got, want)
+		}
 	}
 }
 

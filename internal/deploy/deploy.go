@@ -2,12 +2,10 @@
 //
 // The paper evaluates a regular grid and a uniform random deployment
 // (Fig. 10), and its outdoor system uses 9 motes in a cross "+" layout
-// (Fig. 13). Poisson-disk placement is provided as a practical extra for
-// users who need a minimum separation.
+// (Fig. 13).
 package deploy
 
 import (
-	"fmt"
 	"math"
 
 	"fttt/internal/geom"
@@ -40,45 +38,6 @@ func (d Deployment) Positions() []geom.Point {
 
 // N returns the number of nodes.
 func (d Deployment) N() int { return len(d.Nodes) }
-
-// Validate checks IDs are 0..n-1 in order and every node is in the field.
-func (d Deployment) Validate() error {
-	for i, n := range d.Nodes {
-		if n.ID != i {
-			return fmt.Errorf("deploy: node %d has ID %d, want %d", i, n.ID, i)
-		}
-		if !d.Field.Contains(n.Pos) {
-			return fmt.Errorf("deploy: node %d at %v outside field", i, n.Pos)
-		}
-	}
-	return nil
-}
-
-// MinSeparation returns the smallest pairwise distance, or +Inf for fewer
-// than two nodes.
-func (d Deployment) MinSeparation() float64 {
-	min := math.Inf(1)
-	for i := range d.Nodes {
-		for j := i + 1; j < len(d.Nodes); j++ {
-			if dist := d.Nodes[i].Pos.Dist(d.Nodes[j].Pos); dist < min {
-				min = dist
-			}
-		}
-	}
-	return min
-}
-
-// InRange returns the IDs of nodes within sensing range r of p, in
-// ascending ID order.
-func (d Deployment) InRange(p geom.Point, r float64) []int {
-	var ids []int
-	for _, n := range d.Nodes {
-		if n.Pos.Dist(p) <= r {
-			ids = append(ids, n.ID)
-		}
-	}
-	return ids
-}
 
 // Coverage reports what fraction of the field is sensed by at least
 // kMin nodes with sensing range r, probed on a grid of the given step.
@@ -207,37 +166,6 @@ func Cross(field geom.Rect, n int, arm float64) Deployment {
 			nodes = append(nodes, Node{ID: len(nodes), Pos: p})
 		}
 		ring++
-	}
-	return Deployment{Field: field, Nodes: nodes}
-}
-
-// PoissonDisk places up to n nodes uniformly at random subject to a
-// minimum pairwise separation, by dart throwing with maxTries attempts per
-// node. It returns fewer than n nodes if the field cannot accommodate the
-// separation within the try budget.
-func PoissonDisk(field geom.Rect, n int, minSep float64, rng *randx.Stream) Deployment {
-	const maxTries = 200
-	nodes := make([]Node, 0, n)
-placing:
-	for len(nodes) < n {
-		for try := 0; try < maxTries; try++ {
-			p := geom.Pt(
-				rng.Uniform(field.Min.X, field.Max.X),
-				rng.Uniform(field.Min.Y, field.Max.Y),
-			)
-			ok := true
-			for _, m := range nodes {
-				if m.Pos.Dist(p) < minSep {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				nodes = append(nodes, Node{ID: len(nodes), Pos: p})
-				continue placing
-			}
-		}
-		break // budget exhausted
 	}
 	return Deployment{Field: field, Nodes: nodes}
 }

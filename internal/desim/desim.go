@@ -7,7 +7,6 @@ package desim
 import (
 	"container/heap"
 	"fmt"
-	"math"
 )
 
 // Event is a scheduled callback. Fn runs at virtual time At; it may
@@ -50,9 +49,6 @@ func (e *Engine) ScheduleIn(delay float64, fn func()) {
 	e.Schedule(e.now+delay, fn)
 }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }
-
 // Step executes the earliest pending event, advancing the clock to its
 // timestamp. It reports false when the queue is empty.
 func (e *Engine) Step() bool {
@@ -66,20 +62,8 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// RunUntil executes events in order until the queue is empty or the next
-// event is later than horizon. The clock ends at min(horizon, last event
-// time); it never runs backwards.
-func (e *Engine) RunUntil(horizon float64) {
-	for len(e.queue) > 0 && e.queue[0].At <= horizon {
-		e.Step()
-	}
-	if e.now < horizon && !math.IsInf(horizon, 1) {
-		e.now = horizon
-	}
-}
-
 // Run executes all pending events (including ones scheduled while
-// running). Use RunUntil for open-ended simulations.
+// running).
 func (e *Engine) Run() {
 	for e.Step() {
 	}

@@ -1,7 +1,6 @@
 package desim
 
 import (
-	"math"
 	"testing"
 )
 
@@ -72,40 +71,6 @@ func TestCascadedScheduling(t *testing.T) {
 	}
 	if e.Now() != 4 {
 		t.Errorf("Now = %v, want 4", e.Now())
-	}
-}
-
-func TestRunUntilStopsAtHorizon(t *testing.T) {
-	var e Engine
-	ran := 0
-	e.Schedule(1, func() { ran++ })
-	e.Schedule(10, func() { ran++ })
-	e.RunUntil(5)
-	if ran != 1 {
-		t.Errorf("ran %d events before horizon, want 1", ran)
-	}
-	if e.Now() != 5 {
-		t.Errorf("Now = %v, want horizon 5", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", e.Pending())
-	}
-	e.RunUntil(20)
-	if ran != 2 {
-		t.Errorf("ran %d events total, want 2", ran)
-	}
-}
-
-func TestRunUntilInfiniteHorizon(t *testing.T) {
-	var e Engine
-	ran := false
-	e.Schedule(3, func() { ran = true })
-	e.RunUntil(math.Inf(1))
-	if !ran {
-		t.Error("event did not run")
-	}
-	if math.IsInf(e.Now(), 1) {
-		t.Error("clock should stay at last event, not jump to +Inf")
 	}
 }
 

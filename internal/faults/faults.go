@@ -136,17 +136,6 @@ func (s *Scheduler) Now() float64 { return s.now }
 // Crashed reports whether node i is currently fault-crashed.
 func (s *Scheduler) Crashed(i int) bool { return s.crashed[i] }
 
-// CrashedCount returns how many nodes are currently fault-crashed.
-func (s *Scheduler) CrashedCount() int {
-	c := 0
-	for _, x := range s.crashed {
-		if x {
-			c++
-		}
-	}
-	return c
-}
-
 // Seek advances the scenario to virtual time now, applying every event
 // scheduled at or before it and completing due recoveries. Seek is
 // monotonic: an earlier time than the current one is a no-op, so

@@ -220,3 +220,14 @@ skew max=0.01
 		t.Error("energy scales diverged")
 	}
 }
+
+// CrashedCount returns how many nodes are currently fault-crashed.
+func (s *Scheduler) CrashedCount() int {
+	c := 0
+	for _, x := range s.crashed {
+		if x {
+			c++
+		}
+	}
+	return c
+}

@@ -460,21 +460,8 @@ func (d *Division) FaceAt(p geom.Point) *Face {
 	return &d.Faces[d.cellFace[r*d.Cols+c]]
 }
 
-// FaceBySignature returns the face with exactly this ternary signature, or
-// nil if no grid cell produced it.
-func (d *Division) FaceBySignature(sig vector.Vector) *Face {
-	id, ok := d.bySig[sig.Key()]
-	if !ok {
-		return nil
-	}
-	return &d.Faces[id]
-}
-
 // NumFaces returns the number of distinct faces.
 func (d *Division) NumFaces() int { return len(d.Faces) }
-
-// CellArea returns the area of one grid cell.
-func (d *Division) CellArea() float64 { return d.CellSize * d.CellSize }
 
 // MeanFaceArea returns the average face area in m².
 func (d *Division) MeanFaceArea() float64 {

@@ -3,12 +3,12 @@ package field
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"fttt/internal/deploy"
 	"fttt/internal/randx"
-	"fttt/internal/vector"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -42,7 +42,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		if fo.ID != fl.ID {
 			t.Fatalf("FaceAt(%v) differs: %d vs %d", p, fo.ID, fl.ID)
 		}
-		if !vector.Equal(fo.Signature, fl.Signature) {
+		if !slices.Equal(fo.Signature, fl.Signature) {
 			t.Fatalf("signature differs at %v", p)
 		}
 		if !fo.Centroid.Eq(fl.Centroid) {

@@ -2,6 +2,8 @@ package field
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"fttt/internal/geom"
@@ -48,7 +50,7 @@ func diffComponents(a, b vector.Vector) []int {
 // one component (Lemma 1 says equal signatures are one face); the
 // recorded NeighborDiffs are exactly the differing components; and the
 // single-component links — Theorem 1 says crossing one boundary flips
-// one pair — dominate and satisfy the HammingNeighbors predicate when
+// one pair — dominate and satisfy the hammingNeighbors predicate when
 // the flip passes through the uncertain value.
 func TestTheorem1Adjacency(t *testing.T) {
 	singles, unitSteps, total := 0, 0, 0
@@ -101,7 +103,7 @@ func TestTheorem1Adjacency(t *testing.T) {
 					total++
 					if len(diffs) == 1 {
 						singles++
-						if vector.HammingNeighbors(f.Signature, div.Faces[nb].Signature) {
+						if hammingNeighbors(f.Signature, div.Faces[nb].Signature) {
 							unitSteps++
 						}
 					}
@@ -209,11 +211,60 @@ func TestDivisionInvariants(t *testing.T) {
 				for c := 0; c < div.Cols; c++ {
 					center := div.CellCenter(c, r)
 					f := div.FaceAt(center)
-					if !vector.Equal(f.Signature, Signature(cls, center)) {
+					if !slices.Equal(f.Signature, Signature(cls, center)) {
 						t.Fatalf("cell (%d,%d): stored face signature differs from fresh classification", c, r)
 					}
 				}
 			}
 		})
+	}
+}
+
+// hammingNeighbors reports whether a and b differ in exactly one component
+// and by exactly magnitude 1 there — the neighbor-face relation of
+// Theorem 1. Star components are skipped.
+func hammingNeighbors(a, b vector.Vector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	diffs := 0
+	for k := range a {
+		if a[k].IsStar() || b[k].IsStar() {
+			continue
+		}
+		d := math.Abs(float64(a[k] - b[k]))
+		if d == 0 {
+			continue
+		}
+		if d != 1 {
+			return false
+		}
+		diffs++
+		if diffs > 1 {
+			return false
+		}
+	}
+	return diffs == 1
+}
+
+func TestHammingNeighbors(t *testing.T) {
+	base := vector.FromInts(1, 0, -1, 0)
+	oneStep := vector.FromInts(1, 1, -1, 0) // one component ±1
+	twoStep := vector.FromInts(1, 1, 0, 0)  // two components changed
+	bigStep := vector.FromInts(-1, 0, -1, 0)
+	if !hammingNeighbors(base, oneStep) {
+		t.Error("one ±1 change should be neighbors")
+	}
+	if hammingNeighbors(base, twoStep) {
+		t.Error("two changes should not be neighbors")
+	}
+	if hammingNeighbors(base, bigStep) {
+		t.Error("a ±2 change should not be neighbors")
+	}
+	if hammingNeighbors(base, base) {
+		t.Error("identical vectors are not neighbors")
+	}
+	if hammingNeighbors(base, vector.FromInts(1, 0, -1)) {
+		t.Error("dimension mismatch should be false")
 	}
 }

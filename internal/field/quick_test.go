@@ -3,6 +3,7 @@ package field
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -125,7 +126,7 @@ func TestQuickDivisionConsistentWithClassifier(t *testing.T) {
 		for probe := 0; probe < 50; probe++ {
 			c, r := rng.Intn(div.Cols), rng.Intn(div.Rows)
 			center := div.CellCenter(c, r)
-			if !vector.Equal(div.FaceAt(center).Signature, Signature(rc, center)) {
+			if !slices.Equal(div.FaceAt(center).Signature, Signature(rc, center)) {
 				t.Fatalf("division disagrees with classifier at %v", center)
 			}
 		}

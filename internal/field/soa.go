@@ -1,10 +1,6 @@
 package field
 
-import (
-	"math/bits"
-
-	"fttt/internal/vector"
-)
+import "fttt/internal/vector"
 
 // SigSoA is the division's structure-of-arrays signature store: every
 // face signature as two bitplanes laid out contiguously, so the
@@ -76,11 +72,6 @@ func buildSigSoA(faces []Face) *SigSoA {
 	return s
 }
 
-// FacePlanes returns face f's bitplane block (positives, negatives).
-func (s *SigSoA) FacePlanes(f int) (pos, neg []uint64) {
-	return s.PosBits[f*s.Words : (f+1)*s.Words], s.NegBits[f*s.Words : (f+1)*s.Words]
-}
-
 // ApproxBytes estimates the store's resident memory for the fieldcache
 // bytes gauge.
 func (s *SigSoA) ApproxBytes() int64 {
@@ -88,20 +79,4 @@ func (s *SigSoA) ApproxBytes() int64 {
 		return 0
 	}
 	return 8 * (int64(len(s.PosBits)) + int64(len(s.NegBits)))
-}
-
-// popcountDiff is a self-check helper used by tests: the bitplane
-// squared distance of a ternary query against face f, computed the
-// popcount way (4·|sign flips| + 1·|one-sided zeros|).
-func (s *SigSoA) popcountDiff(qPos, qNeg, qMask []uint64, f int) int {
-	base := f * s.Words
-	c4, c1 := 0, 0
-	for w := 0; w < s.Words; w++ {
-		sp, sn := s.PosBits[base+w], s.NegBits[base+w]
-		qp, qn, qm := qPos[w], qNeg[w], qMask[w]
-		c4 += bits.OnesCount64((qp & sn) | (qn & sp))
-		qz := qm &^ (qp | qn)
-		c1 += bits.OnesCount64((qz & (sp | sn)) | ((qp | qn) &^ (sp | sn)))
-	}
-	return 4*c4 + c1
 }

@@ -3,6 +3,7 @@ package field
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"fttt/internal/geom"
@@ -205,15 +206,23 @@ func (starClassifier) Classify(p geom.Point, i, j int) vector.Value {
 	return vector.Farther
 }
 
-// TestSoAAdaptiveDivide pins that the double-level AdaptiveDivide path
-// (which builds its faces through the same finalizeFaces) also carries
-// a store, and that every face's planes match its AoS signature — face
-// ordering may differ from Divide's, the per-face content may not.
-func TestSoAAdaptiveDivide(t *testing.T) {
-	rc := gridClassifier(t, 9, defaultC())
-	adaptive, err := AdaptiveDivide(fieldRect, rc, 4, 2)
-	if err != nil {
-		t.Fatal(err)
+// FacePlanes returns face f's bitplane block (positives, negatives).
+func (s *SigSoA) FacePlanes(f int) (pos, neg []uint64) {
+	return s.PosBits[f*s.Words : (f+1)*s.Words], s.NegBits[f*s.Words : (f+1)*s.Words]
+}
+
+// popcountDiff is the self-check reference: the bitplane squared
+// distance of a ternary query against face f, computed the popcount
+// way (4·|sign flips| + 1·|one-sided zeros|).
+func (s *SigSoA) popcountDiff(qPos, qNeg, qMask []uint64, f int) int {
+	base := f * s.Words
+	c4, c1 := 0, 0
+	for w := 0; w < s.Words; w++ {
+		sp, sn := s.PosBits[base+w], s.NegBits[base+w]
+		qp, qn, qm := qPos[w], qNeg[w], qMask[w]
+		c4 += bits.OnesCount64((qp & sn) | (qn & sp))
+		qz := qm &^ (qp | qn)
+		c1 += bits.OnesCount64((qz & (sp | sn)) | ((qp | qn) &^ (sp | sn)))
 	}
-	checkPlanes(t, adaptive)
+	return 4*c4 + c1
 }

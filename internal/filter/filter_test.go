@@ -25,6 +25,27 @@ func noisyLine(n int, dt, noise float64, seed uint64) (truth, meas []geom.Point,
 	return truth, meas, times
 }
 
+// smooth runs s over a whole estimate series with the given timestamps
+// and returns the filtered positions, as the smoothing experiment does.
+func smooth(s Smoother, estimates []geom.Point, times []float64) []geom.Point {
+	out := make([]geom.Point, len(estimates))
+	prevT := 0.0
+	for i, z := range estimates {
+		dt := 0.0
+		if i > 0 {
+			dt = times[i] - prevT
+		}
+		prevT = times[i]
+		out[i] = s.Update(z, dt)
+	}
+	return out
+}
+
+// State returns the current position and velocity estimates.
+func (k *Kalman) State() (pos geom.Point, vel geom.Vec) {
+	return geom.Pt(k.x, k.y), geom.Vec{X: k.vx, Y: k.vy}
+}
+
 func meanErr(est, truth []geom.Point) float64 {
 	errs := make([]float64, len(est))
 	for i := range est {
@@ -48,7 +69,7 @@ func TestNewKalmanValidation(t *testing.T) {
 func TestKalmanReducesNoise(t *testing.T) {
 	truth, meas, times := noisyLine(200, 0.5, 4, 1)
 	k, _ := NewKalman(0.5, 4)
-	smoothed := k.SmoothTrack(meas, times)
+	smoothed := smooth(k, meas, times)
 	raw := meanErr(meas, truth)
 	flt := meanErr(smoothed[20:], truth[20:]) // skip convergence
 	if flt >= raw {
@@ -69,7 +90,7 @@ func TestKalmanEstimatesVelocity(t *testing.T) {
 	// Small process noise: the target really is constant-velocity, so a
 	// stiff filter gives a tight velocity estimate.
 	k, _ := NewKalman(0.02, 2)
-	k.SmoothTrack(meas, times)
+	smooth(k, meas, times)
 	_, vel := k.State()
 	if math.Abs(vel.X-0.8) > 0.3 || math.Abs(vel.Y-0.5) > 0.3 {
 		t.Errorf("velocity estimate %v, want ≈(0.8,0.5)", vel)
@@ -95,7 +116,7 @@ func TestKalmanTracksTurn(t *testing.T) {
 		times = append(times, t)
 	}
 	k, _ := NewKalman(2, 3)
-	sm := k.SmoothTrack(meas, times)
+	sm := smooth(k, meas, times)
 	if e := meanErr(sm[150:], truth[150:]); e > 5 {
 		t.Errorf("post-turn error %.2f too large", e)
 	}
@@ -139,15 +160,15 @@ func TestNewParticleValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pf.N() != 100 {
-		t.Errorf("N = %d", pf.N())
+	if len(pf.px) != 100 {
+		t.Errorf("particles = %d, want 100", len(pf.px))
 	}
 }
 
 func TestParticleReducesNoise(t *testing.T) {
 	truth, meas, times := noisyLine(200, 0.5, 4, 4)
 	pf, _ := NewParticle(field, 500, 2, 4, randx.New(5))
-	smoothed := pf.SmoothTrack(meas, times)
+	smoothed := smooth(pf, meas, times)
 	raw := meanErr(meas, truth)
 	flt := meanErr(smoothed[20:], truth[20:])
 	if flt >= raw {

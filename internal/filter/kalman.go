@@ -49,11 +49,6 @@ func NewKalman(processNoise, measurementStd float64) (*Kalman, error) {
 // Reset forgets all state; the next Update re-initialises.
 func (k *Kalman) Reset() { k.initialized = false }
 
-// State returns the current position and velocity estimates.
-func (k *Kalman) State() (pos geom.Point, vel geom.Vec) {
-	return geom.Pt(k.x, k.y), geom.Vec{X: k.vx, Y: k.vy}
-}
-
 // Update advances the filter by dt seconds and fuses the measurement z,
 // returning the filtered position. The first call initialises the state
 // at z with zero velocity and a diffuse covariance.
@@ -142,20 +137,4 @@ func (k *Kalman) correct(z geom.Point) {
 		k.p[idx(vi, pi)] = pvp - kv*ppp
 		k.p[idx(vi, vi)] -= kv * ppv
 	}
-}
-
-// SmoothTrack runs the filter over a whole estimate series with the
-// given timestamps and returns the filtered positions.
-func (k *Kalman) SmoothTrack(estimates []geom.Point, times []float64) []geom.Point {
-	out := make([]geom.Point, len(estimates))
-	prevT := 0.0
-	for i, z := range estimates {
-		dt := 0.0
-		if i > 0 {
-			dt = times[i] - prevT
-		}
-		prevT = times[i]
-		out[i] = k.Update(z, dt)
-	}
-	return out
 }

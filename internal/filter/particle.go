@@ -50,9 +50,6 @@ func NewParticle(field geom.Rect, n int, accel, measStd float64, rng *randx.Stre
 	}, nil
 }
 
-// N returns the particle count.
-func (f *Particle) N() int { return len(f.px) }
-
 // Reset forgets all particles; the next Update re-initialises.
 func (f *Particle) Reset() { f.initialized = false }
 
@@ -155,22 +152,6 @@ func (f *Particle) resample() {
 	for i := range f.w {
 		f.w[i] = step
 	}
-}
-
-// SmoothTrack runs the filter over a whole estimate series with the
-// given timestamps and returns the filtered positions.
-func (f *Particle) SmoothTrack(estimates []geom.Point, times []float64) []geom.Point {
-	out := make([]geom.Point, len(estimates))
-	prevT := 0.0
-	for i, z := range estimates {
-		dt := 0.0
-		if i > 0 {
-			dt = times[i] - prevT
-		}
-		prevT = times[i]
-		out[i] = f.Update(z, dt)
-	}
-	return out
 }
 
 // Smoother is the interface both filters satisfy; the smoothing

@@ -1,6 +1,6 @@
 // Package geom provides the 2-D computational geometry used by the FTTT
-// tracker: points, vectors, segments, circles, perpendicular bisectors and
-// the Apollonius circles that bound a sensor pair's uncertain area.
+// tracker: points, vectors, rectangles, segments, circles and the
+// Apollonius circles that bound a sensor pair's uncertain area.
 //
 // All coordinates are in metres in the monitor field's frame, X to the
 // right and Y up, matching Fig. 6 of the paper.
@@ -33,12 +33,6 @@ func (p Point) Dist(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
 }
 
-// Dist2 returns the squared Euclidean distance between p and q.
-func (p Point) Dist2(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return dx*dx + dy*dy
-}
-
 // Mid returns the midpoint of p and q.
 func (p Point) Mid(q Point) Point {
 	return Point{(p.X + q.X) / 2, (p.Y + q.Y) / 2}
@@ -57,20 +51,11 @@ type Vec struct {
 	X, Y float64
 }
 
-// Add returns the vector sum v+w.
-func (v Vec) Add(w Vec) Vec { return Vec{v.X + w.X, v.Y + w.Y} }
-
-// Sub returns the vector difference v-w.
-func (v Vec) Sub(w Vec) Vec { return Vec{v.X - w.X, v.Y - w.Y} }
-
 // Scale returns v scaled by s.
 func (v Vec) Scale(s float64) Vec { return Vec{v.X * s, v.Y * s} }
 
 // Dot returns the dot product v·w.
 func (v Vec) Dot(w Vec) float64 { return v.X*w.X + v.Y*w.Y }
-
-// Cross returns the 2-D cross product (z-component) of v and w.
-func (v Vec) Cross(w Vec) float64 { return v.X*w.Y - v.Y*w.X }
 
 // Len returns the Euclidean length of v.
 func (v Vec) Len() float64 { return math.Hypot(v.X, v.Y) }
@@ -164,43 +149,6 @@ type Circle struct {
 	R float64
 }
 
-// Contains reports whether p is strictly inside the circle.
-func (c Circle) Contains(p Point) bool { return c.C.Dist(p) < c.R-Eps }
-
-// On reports whether p lies on the circle within tol.
-func (c Circle) On(p Point, tol float64) bool {
-	return math.Abs(c.C.Dist(p)-c.R) <= tol
-}
-
-// PointAt returns the point of the circle at angle theta (radians).
-func (c Circle) PointAt(theta float64) Point {
-	return Point{c.C.X + c.R*math.Cos(theta), c.C.Y + c.R*math.Sin(theta)}
-}
-
-// Line is the infinite line a*x + b*y = c with (a,b) normalised.
-type Line struct {
-	A, B, C float64
-}
-
-// LineThrough returns the line through two distinct points.
-func LineThrough(p, q Point) Line {
-	d := q.Sub(p)
-	n := d.Perp().Unit()
-	return Line{A: n.X, B: n.Y, C: n.X*p.X + n.Y*p.Y}
-}
-
-// Bisector returns the perpendicular bisector of segment pq, oriented so
-// that Side(p) > 0: points on the positive side are nearer to p.
-func Bisector(p, q Point) Line {
-	m := p.Mid(q)
-	n := p.Sub(q).Unit() // normal points toward p
-	return Line{A: n.X, B: n.Y, C: n.X*m.X + n.Y*m.Y}
-}
-
-// Side returns the signed distance from p to the line (positive on the
-// side the normal points to).
-func (l Line) Side(p Point) float64 { return l.A*p.X + l.B*p.Y - l.C }
-
 // Apollonius returns the circle of Apollonius for points p and q with
 // distance ratio lambda = d(x,p)/d(x,q): the locus of points x with
 // d(x,p) = lambda * d(x,q). lambda must be positive and != 1 (the locus
@@ -224,39 +172,6 @@ func Apollonius(p, q Point, lambda float64) (c Circle, ok bool) {
 	return Circle{C: Point{cx, cy}, R: r}, true
 }
 
-// DistanceRatio returns d(x,p)/d(x,q). It returns +Inf when x == q.
-func DistanceRatio(x, p, q Point) float64 {
-	dq := x.Dist(q)
-	if dq <= Eps {
-		if x.Dist(p) <= Eps {
-			return 1
-		}
-		return math.Inf(1)
-	}
-	return x.Dist(p) / dq
-}
-
-// CircleLineIntersect returns the 0, 1 or 2 intersection points of a
-// circle and a line.
-func CircleLineIntersect(c Circle, l Line) []Point {
-	// Foot of perpendicular from centre.
-	d := l.Side(c.C)
-	if math.Abs(d) > c.R+Eps {
-		return nil
-	}
-	foot := Point{c.C.X - l.A*d, c.C.Y - l.B*d}
-	h2 := c.R*c.R - d*d
-	if h2 < Eps {
-		return []Point{foot}
-	}
-	h := math.Sqrt(h2)
-	t := Vec{-l.B, l.A} // direction along the line
-	return []Point{
-		foot.Add(t.Scale(h)),
-		foot.Add(t.Scale(-h)),
-	}
-}
-
 // CircleCircleIntersect returns the 0, 1 or 2 intersection points of two
 // circles. Coincident circles return nil.
 func CircleCircleIntersect(a, b Circle) []Point {
@@ -278,15 +193,6 @@ func CircleCircleIntersect(a, b Circle) []Point {
 	h := math.Sqrt(h2)
 	n := u.Perp()
 	return []Point{foot.Add(n.Scale(h)), foot.Add(n.Scale(-h))}
-}
-
-// PolylineLength returns the total length of the polyline through pts.
-func PolylineLength(pts []Point) float64 {
-	var total float64
-	for i := 1; i < len(pts); i++ {
-		total += pts[i-1].Dist(pts[i])
-	}
-	return total
 }
 
 // Centroid returns the arithmetic mean of pts. It returns the zero point

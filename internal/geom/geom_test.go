@@ -22,9 +22,6 @@ func TestPointDist(t *testing.T) {
 		if got := tt.p.Dist(tt.q); math.Abs(got-tt.want) > Eps {
 			t.Errorf("Dist(%v,%v) = %v, want %v", tt.p, tt.q, got, tt.want)
 		}
-		if got := tt.p.Dist2(tt.q); math.Abs(got-tt.want*tt.want) > Eps {
-			t.Errorf("Dist2(%v,%v) = %v, want %v", tt.p, tt.q, got, tt.want*tt.want)
-		}
 	}
 }
 
@@ -69,20 +66,13 @@ func TestVecOps(t *testing.T) {
 	if got := v.Dot(v.Perp()); math.Abs(got) > Eps {
 		t.Errorf("v·v⊥ = %v, want 0", got)
 	}
-	if got := v.Cross(v); math.Abs(got) > Eps {
-		t.Errorf("v×v = %v, want 0", got)
-	}
-	w := Vec{1, -2}
-	if got, want := v.Add(w), (Vec{4, 2}); got != want {
-		t.Errorf("Add = %v, want %v", got, want)
-	}
-	if got, want := v.Sub(w), (Vec{2, 6}); got != want {
-		t.Errorf("Sub = %v, want %v", got, want)
-	}
 	if got, want := v.Scale(2), (Vec{6, 8}); got != want {
 		t.Errorf("Scale = %v, want %v", got, want)
 	}
 }
+
+// cross is the z-component of the 2-D cross product v×w.
+func cross(v, w Vec) float64 { return v.X*w.Y - v.Y*w.X }
 
 func TestPerpRotation(t *testing.T) {
 	f := func(x, y float64) bool {
@@ -91,7 +81,7 @@ func TestPerpRotation(t *testing.T) {
 		// Same length, orthogonal, counter-clockwise (cross >= 0).
 		return math.Abs(v.Len()-p.Len()) <= 1e-6*math.Max(1, v.Len()) &&
 			math.Abs(v.Dot(p)) <= 1e-6*math.Max(1, v.Len2()) &&
-			v.Cross(p) >= 0
+			cross(v, p) >= 0
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {
 		t.Error(err)
@@ -153,45 +143,6 @@ func TestSegment(t *testing.T) {
 	}
 }
 
-func TestBisector(t *testing.T) {
-	p, q := Pt(-2, 0), Pt(2, 0)
-	l := Bisector(p, q)
-	// Points on the bisector are equidistant.
-	for _, y := range []float64{-5, 0, 3} {
-		if got := l.Side(Pt(0, y)); math.Abs(got) > Eps {
-			t.Errorf("bisector Side((0,%v)) = %v, want 0", y, got)
-		}
-	}
-	// Positive side is nearer p.
-	if l.Side(p) <= 0 {
-		t.Error("Side(p) should be positive")
-	}
-	if l.Side(q) >= 0 {
-		t.Error("Side(q) should be negative")
-	}
-}
-
-func TestBisectorEquidistantProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 200; i++ {
-		p := Pt(rng.Float64()*100, rng.Float64()*100)
-		q := Pt(rng.Float64()*100, rng.Float64()*100)
-		if p.Dist(q) < 1e-3 {
-			continue
-		}
-		l := Bisector(p, q)
-		x := Pt(rng.Float64()*100, rng.Float64()*100)
-		side := l.Side(x)
-		dp, dq := x.Dist(p), x.Dist(q)
-		switch {
-		case side > 1e-6 && dp >= dq:
-			t.Fatalf("positive side should be nearer p: side=%v dp=%v dq=%v", side, dp, dq)
-		case side < -1e-6 && dq >= dp:
-			t.Fatalf("negative side should be nearer q: side=%v dp=%v dq=%v", side, dp, dq)
-		}
-	}
-}
-
 func TestApolloniusPaperForm(t *testing.T) {
 	// Paper eq. 4: nodes at (d,0) and (-d,0), boundary circle has centre
 	// ((C²+1)/(C²-1)·d, 0) and radius 2Cd/(C²-1).
@@ -229,8 +180,8 @@ func TestApolloniusMembership(t *testing.T) {
 			t.Fatalf("unexpected !ok for lambda=%v", lambda)
 		}
 		for _, theta := range []float64{0, 1, 2, 3, 4, 5, 6} {
-			x := c.PointAt(theta)
-			ratio := DistanceRatio(x, p, q)
+			x := Pt(c.C.X+c.R*math.Cos(theta), c.C.Y+c.R*math.Sin(theta))
+			ratio := x.Dist(p) / x.Dist(q)
 			if math.Abs(ratio-lambda) > 1e-6*math.Max(1, lambda) {
 				t.Fatalf("ratio at θ=%v is %v, want %v", theta, ratio, lambda)
 			}
@@ -264,43 +215,6 @@ func TestApolloniusMirror(t *testing.T) {
 	}
 }
 
-func TestDistanceRatioAtPoles(t *testing.T) {
-	p, q := Pt(0, 0), Pt(10, 0)
-	if got := DistanceRatio(p, p, q); got != 0 {
-		t.Errorf("ratio at p = %v, want 0", got)
-	}
-	if got := DistanceRatio(q, p, q); !math.IsInf(got, 1) {
-		t.Errorf("ratio at q = %v, want +Inf", got)
-	}
-}
-
-func TestCircleLineIntersect(t *testing.T) {
-	c := Circle{Pt(0, 0), 5}
-	l := LineThrough(Pt(-10, 3), Pt(10, 3))
-	pts := CircleLineIntersect(c, l)
-	if len(pts) != 2 {
-		t.Fatalf("got %d points, want 2", len(pts))
-	}
-	for _, p := range pts {
-		if !c.On(p, 1e-9) {
-			t.Errorf("point %v not on circle", p)
-		}
-		if math.Abs(p.Y-3) > 1e-9 {
-			t.Errorf("point %v not on line", p)
-		}
-	}
-	// Tangent line.
-	tl := LineThrough(Pt(-10, 5), Pt(10, 5))
-	if pts := CircleLineIntersect(c, tl); len(pts) != 1 {
-		t.Errorf("tangent: got %d points, want 1", len(pts))
-	}
-	// Missing line.
-	ml := LineThrough(Pt(-10, 9), Pt(10, 9))
-	if pts := CircleLineIntersect(c, ml); len(pts) != 0 {
-		t.Errorf("miss: got %d points, want 0", len(pts))
-	}
-}
-
 func TestCircleCircleIntersect(t *testing.T) {
 	a := Circle{Pt(0, 0), 5}
 	b := Circle{Pt(6, 0), 5}
@@ -309,7 +223,7 @@ func TestCircleCircleIntersect(t *testing.T) {
 		t.Fatalf("got %d points, want 2", len(pts))
 	}
 	for _, p := range pts {
-		if !a.On(p, 1e-9) || !b.On(p, 1e-9) {
+		if math.Abs(a.C.Dist(p)-a.R) > 1e-9 || math.Abs(b.C.Dist(p)-b.R) > 1e-9 {
 			t.Errorf("point %v not on both circles", p)
 		}
 	}
@@ -334,32 +248,6 @@ func TestCircleCircleIntersect(t *testing.T) {
 	}
 }
 
-func TestCircleContains(t *testing.T) {
-	c := Circle{Pt(0, 0), 2}
-	if !c.Contains(Pt(1, 0)) {
-		t.Error("interior point should be contained")
-	}
-	if c.Contains(Pt(2, 0)) {
-		t.Error("boundary point should not be strictly contained")
-	}
-	if c.Contains(Pt(3, 0)) {
-		t.Error("exterior point should not be contained")
-	}
-}
-
-func TestPolylineLength(t *testing.T) {
-	pts := []Point{Pt(0, 0), Pt(3, 4), Pt(3, 8)}
-	if got := PolylineLength(pts); math.Abs(got-9) > Eps {
-		t.Errorf("PolylineLength = %v, want 9", got)
-	}
-	if got := PolylineLength(nil); got != 0 {
-		t.Errorf("empty polyline = %v, want 0", got)
-	}
-	if got := PolylineLength(pts[:1]); got != 0 {
-		t.Errorf("single point polyline = %v, want 0", got)
-	}
-}
-
 func TestCentroid(t *testing.T) {
 	pts := []Point{Pt(0, 0), Pt(2, 0), Pt(2, 2), Pt(0, 2)}
 	if got := Centroid(pts); !got.Eq(Pt(1, 1)) {
@@ -367,20 +255,6 @@ func TestCentroid(t *testing.T) {
 	}
 	if got := Centroid(nil); got != (Point{}) {
 		t.Errorf("empty Centroid = %v, want origin", got)
-	}
-}
-
-func TestLineThroughSide(t *testing.T) {
-	l := LineThrough(Pt(0, 0), Pt(10, 0))
-	if math.Abs(l.Side(Pt(5, 0))) > Eps {
-		t.Error("point on line should have Side 0")
-	}
-	s1, s2 := l.Side(Pt(0, 1)), l.Side(Pt(0, -1))
-	if s1*s2 >= 0 {
-		t.Error("opposite sides should have opposite signs")
-	}
-	if math.Abs(math.Abs(s1)-1) > Eps {
-		t.Errorf("|Side| should equal distance, got %v", s1)
 	}
 }
 

@@ -80,30 +80,6 @@ func (m *Exhaustive) Match(v vector.Vector, _ *field.Face) Result {
 	return finish(winner, ties, best, len(m.Div.Faces), 0)
 }
 
-// MatchWeighted is Match with a per-pair trust weight vector. A nil w
-// delegates to the unweighted Match.
-func (m *Exhaustive) MatchWeighted(v vector.Vector, prev *field.Face, w []float64) Result {
-	if w == nil {
-		return m.Match(v, prev)
-	}
-	best := math.Inf(-1)
-	var winner *field.Face
-	var ties []*field.Face
-	for i := range m.Div.Faces {
-		f := &m.Div.Faces[i]
-		s := simOf(dist2(v, f.Signature, w))
-		switch {
-		case s > best:
-			best = s
-			winner = f
-			ties = ties[:0]
-		case s == best:
-			ties = append(ties, f)
-		}
-	}
-	return finish(winner, ties, best, len(m.Div.Faces), 0)
-}
-
 // dist2 is the squared modified distance of Def. 8 (stars contribute 0),
 // optionally trust-weighted (DESIGN.md §15):
 //

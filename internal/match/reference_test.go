@@ -122,3 +122,28 @@ func (h *refHeap) Pop() any {
 	*h = old[:len(old)-1]
 	return x
 }
+
+// MatchWeighted is the full-scan reference for trust-weighted lanes:
+// Exhaustive.Match with a per-pair weight vector (a nil w delegates to
+// the unweighted Match).
+func (m *Exhaustive) MatchWeighted(v vector.Vector, prev *field.Face, w []float64) Result {
+	if w == nil {
+		return m.Match(v, prev)
+	}
+	best := math.Inf(-1)
+	var winner *field.Face
+	var ties []*field.Face
+	for i := range m.Div.Faces {
+		f := &m.Div.Faces[i]
+		s := simOf(dist2(v, f.Signature, w))
+		switch {
+		case s > best:
+			best = s
+			winner = f
+			ties = ties[:0]
+		case s == best:
+			ties = append(ties, f)
+		}
+	}
+	return finish(winner, ties, best, len(m.Div.Faces), 0)
+}

@@ -159,14 +159,6 @@ func SquareWave(field geom.Rect, margin float64) []geom.Point {
 	}
 }
 
-// Static returns a model that never moves — useful for one-shot
-// localization tests.
-func Static(p geom.Point) Model { return staticModel{p} }
-
-type staticModel struct{ p geom.Point }
-
-func (s staticModel) At(float64) geom.Point { return s.p }
-
 // Duration returns the time at which a Waypoints/VariableSpeedWaypoints/
 // RandomWaypoint model reaches its final waypoint, and ok=true; for other
 // models it returns 0, false.

@@ -178,3 +178,11 @@ func TestSamplePanicsOnBadRate(t *testing.T) {
 	}()
 	Sample(Static(geom.Pt(0, 0)), 10, 0)
 }
+
+// Static returns a model that never moves — the fixed input of the
+// sampling tests.
+func Static(p geom.Point) Model { return staticModel{p} }
+
+type staticModel struct{ p geom.Point }
+
+func (s staticModel) At(float64) geom.Point { return s.p }

@@ -119,7 +119,7 @@ func TestGaussMarkovSmootherThanBrownian(t *testing.T) {
 			if v1.Len() < 1e-9 || v2.Len() < 1e-9 {
 				continue
 			}
-			d := math.Abs(math.Atan2(v1.Cross(v2), v1.Dot(v2)))
+			d := math.Abs(math.Atan2(v1.X*v2.Y-v1.Y*v2.X, v1.Dot(v2)))
 			sum += d
 			cnt++
 		}

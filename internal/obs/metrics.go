@@ -101,15 +101,6 @@ func (h *Histogram) Count() uint64 { return h.total.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.load() }
 
-// Mean returns the mean observation, or 0 before any observation.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
 // Quantile estimates the q-quantile (q in [0,1]) by linear interpolation
 // within the bucket containing the target rank — the same estimate
 // Prometheus' histogram_quantile computes. Observations in the +Inf

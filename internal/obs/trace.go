@@ -86,9 +86,6 @@ type Record struct {
 	LinkSpan  SpanID  `json:"linkSpan,omitempty"`
 }
 
-// Ref returns the record's own span reference (zero for links).
-func (r Record) Ref() SpanRef { return SpanRef{Trace: r.Trace, Span: r.Span} }
-
 // Recorder is a bounded, lock-free trace sink: the last Cap() records
 // survive, older ones are overwritten. A nil *Recorder is "tracing
 // off" — every method no-ops at pointer-check cost, which is the

@@ -10,12 +10,12 @@
 //
 // Every scenario seeds its workload from fixed randx streams, so two
 // runs execute byte-identical work and differ only in how fast the
-// machine executes it; a Report's Meta is therefore deterministic and
-// Compare can diff any two runs. The runner adds warmup repetitions
-// (discarded) and N measured repetitions per scenario; Compare judges
-// the per-scenario medians under noise-tolerant thresholds (fail only
-// beyond a fractional regression across ≥ MinReps repetitions), which
-// is what `fttt-perf compare` and the CI perf smoke job enforce against
+// machine executes it; Compare can therefore diff any two runs. The
+// runner adds warmup repetitions (discarded) and N measured
+// repetitions per scenario; Compare judges the per-scenario medians
+// under noise-tolerant thresholds (fail only beyond a fractional
+// regression across ≥ MinReps repetitions), which is what `fttt-perf
+// compare` and the CI perf smoke job enforce against
 // results/perf/baseline.json.
 //
 // Key invariants: the scenario set, names, seeds and MapsTo strings are
@@ -142,44 +142,6 @@ type Report struct {
 	Reps        int              `json:"reps"`
 	BenchTimeNs int64            `json:"benchTimeNs"`
 	Scenarios   []ScenarioResult `json:"scenarios"`
-}
-
-// ScenarioMeta is the deterministic identity of one scenario inside
-// Meta — everything about a run except the timings.
-type ScenarioMeta struct {
-	Name   string `json:"name"`
-	Kind   string `json:"kind"`
-	Seed   uint64 `json:"seed"`
-	MapsTo string `json:"mapsTo,omitempty"`
-}
-
-// Meta is a Report stripped of measurements. Two runs of the same
-// binary on the same machine produce byte-identical marshalled Meta —
-// the determinism contract `fttt-perf compare` leans on.
-type Meta struct {
-	Schema     string         `json:"schema"`
-	GoVersion  string         `json:"go"`
-	GOOS       string         `json:"goos"`
-	GOARCH     string         `json:"goarch"`
-	GOMAXPROCS int            `json:"gomaxprocs"`
-	NumCPU     int            `json:"numcpu"`
-	Scenarios  []ScenarioMeta `json:"scenarios"`
-}
-
-// Meta projects the report onto its deterministic identity.
-func (r *Report) Meta() Meta {
-	m := Meta{
-		Schema:     r.Schema,
-		GoVersion:  r.GoVersion,
-		GOOS:       r.GOOS,
-		GOARCH:     r.GOARCH,
-		GOMAXPROCS: r.GOMAXPROCS,
-		NumCPU:     r.NumCPU,
-	}
-	for _, s := range r.Scenarios {
-		m.Scenarios = append(m.Scenarios, ScenarioMeta{Name: s.Name, Kind: s.Kind, Seed: s.Seed, MapsTo: s.MapsTo})
-	}
-	return m
 }
 
 // Find returns the named scenario result, or nil.

@@ -1,7 +1,6 @@
 package perfbench
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -156,30 +155,6 @@ func TestRunCapturesProfiles(t *testing.T) {
 		if fi.Size() == 0 {
 			t.Errorf("profile %s is empty", name)
 		}
-	}
-}
-
-// TestMetaDeterministic pins the compare determinism contract: two
-// reports produced by the same binary marshal byte-identical Meta.
-func TestMetaDeterministic(t *testing.T) {
-	mk := func() *Report {
-		r := &Report{}
-		hostMeta(r)
-		for _, sc := range Suite() {
-			r.Scenarios = append(r.Scenarios, ScenarioResult{Name: sc.Name, Kind: sc.Kind, Seed: sc.Seed, MapsTo: sc.MapsTo})
-		}
-		return r
-	}
-	a, err := json.Marshal(mk().Meta())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(mk().Meta())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Fatalf("Meta not byte-identical:\n%s\n%s", a, b)
 	}
 }
 

@@ -57,14 +57,6 @@ func drawAll(t *testing.T, seed uint64, s *Stream, o *rand.Rand) {
 			t.Fatalf("seed %d: Perm %v, oracle %v", seed, pa, pb)
 		}
 	}
-	sa, sb := []int{0, 1, 2, 3, 4, 5, 6}, []int{0, 1, 2, 3, 4, 5, 6}
-	s.Shuffle(len(sa), func(i, j int) { sa[i], sa[j] = sa[j], sa[i] })
-	o.Shuffle(len(sb), func(i, j int) { sb[i], sb[j] = sb[j], sb[i] })
-	for i := range sa {
-		if sa[i] != sb[i] {
-			t.Fatalf("seed %d: Shuffle %v, oracle %v", seed, sa, sb)
-		}
-	}
 }
 
 // TestLazyStreamMatchesEagerOracle pins the lazy-seeding contract: a

@@ -14,7 +14,6 @@
 package randx
 
 import (
-	"math"
 	"math/rand"
 )
 
@@ -113,9 +112,6 @@ func (s *Stream) Bernoulli(p float64) bool {
 // Perm returns a random permutation of [0, n).
 func (s *Stream) Perm(n int) []int { return s.src().Perm(n) }
 
-// Shuffle pseudo-randomises the order of n elements using swap.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.src().Shuffle(n, swap) }
-
 // mix is the SplitMix64 finalizer: a bijective avalanche function on
 // uint64 used to decorrelate derived seeds.
 func mix(z uint64) uint64 {
@@ -123,16 +119,4 @@ func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// Mean of a sample slice; convenience for tests.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }

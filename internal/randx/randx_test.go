@@ -148,15 +148,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if got := Mean([]float64{1, 2, 3, 4}); got != 2.5 {
-		t.Errorf("Mean = %v, want 2.5", got)
-	}
-	if got := Mean(nil); !math.IsNaN(got) {
-		t.Errorf("Mean(nil) = %v, want NaN", got)
-	}
-}
-
 func TestMixBijectiveSample(t *testing.T) {
 	// mix must not collide on a small sample (it is bijective in theory).
 	seen := map[uint64]uint64{}

@@ -78,15 +78,3 @@ func (ir *Irregularity) Gain(theta float64) float64 {
 	next := (i + 1) % len(ir.sectors)
 	return ir.sectors[i]*(1-frac) + ir.sectors[next]*frac
 }
-
-// MaxGain returns the largest absolute sector gain, a measure of how
-// anisotropic this node is.
-func (ir *Irregularity) MaxGain() float64 {
-	worst := 0.0
-	for _, v := range ir.sectors {
-		if a := math.Abs(v); a > worst {
-			worst = a
-		}
-	}
-	return worst
-}

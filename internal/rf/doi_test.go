@@ -91,3 +91,15 @@ func TestIrregularityDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// MaxGain returns the largest absolute sector gain, a measure of how
+// anisotropic this node is.
+func (ir *Irregularity) MaxGain() float64 {
+	worst := 0.0
+	for _, v := range ir.sectors {
+		if a := math.Abs(v); a > worst {
+			worst = a
+		}
+	}
+	return worst
+}

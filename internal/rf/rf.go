@@ -15,8 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"fttt/internal/randx"
 )
 
 // Model holds the parameters of the log-distance path-loss model.
@@ -55,12 +53,6 @@ func Default() Model {
 	return Model{P0: -40, A: 0, Beta: 4, SigmaX: 6, MinDist: 0.1, FastFraction: 0.5}
 }
 
-// NewModel validates and returns a model.
-func NewModel(p0, a, beta, sigmaX float64) (Model, error) {
-	m := Model{P0: p0, A: a, Beta: beta, SigmaX: sigmaX, MinDist: 0.1, FastFraction: 0.5}
-	return m, m.Validate()
-}
-
 // SigmaFast returns the per-instant noise component's standard deviation.
 func (m Model) SigmaFast() float64 { return m.FastFraction * m.SigmaX }
 
@@ -97,12 +89,6 @@ func (m Model) MeanRSS(d float64) float64 {
 		d = 1e-12
 	}
 	return m.P0 + m.A - 10*m.Beta*math.Log10(d)
-}
-
-// SampleRSS returns one noisy RSS sample at distance d, drawing the noise
-// term X from the given stream.
-func (m Model) SampleRSS(d float64, rng *randx.Stream) float64 {
-	return m.MeanRSS(d) + rng.Normal(0, m.SigmaX)
 }
 
 // InvertMeanRSS returns the distance whose noise-free RSS equals rss — the
@@ -226,25 +212,4 @@ func (m Model) CalibratedC(epsilon float64, k int) float64 {
 		return floor
 	}
 	return c
-}
-
-// FlipProbability returns the probability that a single noisy comparison
-// of the pair's RSS is inverted relative to the true distance order, for a
-// target at distances dm and dn from the two nodes. The difference of two
-// independent N(0, σ²) noises is N(0, 2σ²), so
-//
-//	P(flip) = Φ( −|Δμ| / (√2·σ_X) ),  Δμ = MeanRSS(dm) − MeanRSS(dn).
-//
-// It is 0.5 when the target is equidistant and decays as the target moves
-// away from the bisector — the quantitative content of Fig. 1.
-func (m Model) FlipProbability(dm, dn float64) float64 {
-	if m.SigmaX == 0 {
-		if m.MeanRSS(dm) == m.MeanRSS(dn) {
-			return 0.5
-		}
-		return 0
-	}
-	delta := math.Abs(m.MeanRSS(dm) - m.MeanRSS(dn))
-	z := delta / (math.Sqrt2 * m.SigmaX)
-	return 0.5 * math.Erfc(z/math.Sqrt2)
 }

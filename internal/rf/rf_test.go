@@ -3,8 +3,6 @@ package rf
 import (
 	"math"
 	"testing"
-
-	"fttt/internal/randx"
 )
 
 func TestMeanRSSMonotone(t *testing.T) {
@@ -55,36 +53,6 @@ func TestInvertMeanRSSRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSampleRSSNoiseStatistics(t *testing.T) {
-	m := Default()
-	rng := randx.New(5)
-	const n = 100000
-	var sum, sum2 float64
-	mu := m.MeanRSS(20)
-	for i := 0; i < n; i++ {
-		v := m.SampleRSS(20, rng)
-		sum += v
-		sum2 += v * v
-	}
-	mean := sum / n
-	sd := math.Sqrt(sum2/n - mean*mean)
-	if math.Abs(mean-mu) > 0.1 {
-		t.Errorf("sample mean = %v, want ≈%v", mean, mu)
-	}
-	if math.Abs(sd-m.SigmaX) > 0.1 {
-		t.Errorf("sample stddev = %v, want ≈%v", sd, m.SigmaX)
-	}
-}
-
-func TestSampleRSSNoiseless(t *testing.T) {
-	m := Default()
-	m.SigmaX = 0
-	rng := randx.New(5)
-	if got := m.SampleRSS(20, rng); got != m.MeanRSS(20) {
-		t.Errorf("noiseless sample = %v, want mean %v", got, m.MeanRSS(20))
-	}
-}
-
 func TestUncertaintyC(t *testing.T) {
 	m := Default() // β=4, σ=6
 	a := math.Ln10 / 40
@@ -123,70 +91,26 @@ func TestUncertaintyCLowerBetaWiderArea(t *testing.T) {
 	}
 }
 
-func TestFlipProbability(t *testing.T) {
-	m := Default()
-	// Equidistant target flips half the time.
-	if got := m.FlipProbability(10, 10); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("equidistant flip prob = %v, want 0.5", got)
-	}
-	// Flip probability decays with separation and is symmetric.
-	p1 := m.FlipProbability(5, 10)
-	p2 := m.FlipProbability(10, 5)
-	if p1 != p2 {
-		t.Errorf("flip prob asymmetric: %v vs %v", p1, p2)
-	}
-	p3 := m.FlipProbability(2, 10)
-	if !(p3 < p1 && p1 < 0.5) {
-		t.Errorf("flip prob should decay: p(2,10)=%v p(5,10)=%v", p3, p1)
-	}
-	if p3 < 0 || p3 > 1 {
-		t.Errorf("flip prob out of [0,1]: %v", p3)
-	}
-}
-
-func TestFlipProbabilityNoiseless(t *testing.T) {
-	m := Default()
-	m.SigmaX = 0
-	if got := m.FlipProbability(5, 10); got != 0 {
-		t.Errorf("noiseless distinct flip prob = %v, want 0", got)
-	}
-	if got := m.FlipProbability(7, 7); got != 0.5 {
-		t.Errorf("noiseless equidistant flip prob = %v, want 0.5", got)
-	}
-}
-
-func TestFlipProbabilityEmpirical(t *testing.T) {
-	// Monte-Carlo check of the analytic flip probability.
-	m := Default()
-	rng := randx.New(77)
-	dm, dn := 12.0, 15.0
-	want := m.FlipProbability(dm, dn)
-	const n = 200000
-	flips := 0
-	for i := 0; i < n; i++ {
-		// True order: dm < dn so RSS_m should exceed RSS_n.
-		if m.SampleRSS(dm, rng) <= m.SampleRSS(dn, rng) {
-			flips++
-		}
-	}
-	got := float64(flips) / n
-	if math.Abs(got-want) > 0.01 {
-		t.Errorf("empirical flip prob = %v, analytic %v", got, want)
-	}
-}
-
 func TestValidate(t *testing.T) {
-	if _, err := NewModel(-40, 0, 4, 6); err != nil {
+	with := func(edit func(*Model)) Model {
+		m := Default()
+		edit(&m)
+		return m
+	}
+	if err := Default().Validate(); err != nil {
 		t.Errorf("valid model rejected: %v", err)
 	}
-	if _, err := NewModel(-40, 0, 0, 6); err == nil {
+	if err := with(func(m *Model) { m.Beta = 0 }).Validate(); err == nil {
 		t.Error("β=0 should be rejected")
 	}
-	if _, err := NewModel(-40, 0, -1, 6); err == nil {
+	if err := with(func(m *Model) { m.Beta = -1 }).Validate(); err == nil {
 		t.Error("β<0 should be rejected")
 	}
-	if _, err := NewModel(-40, 0, 4, -1); err == nil {
+	if err := with(func(m *Model) { m.SigmaX = -1 }).Validate(); err == nil {
 		t.Error("σ<0 should be rejected")
+	}
+	if err := with(func(m *Model) { m.FastFraction = 1.5 }).Validate(); err == nil {
+		t.Error("FastFraction > 1 should be rejected")
 	}
 	m := Default()
 	m.MinDist = -1

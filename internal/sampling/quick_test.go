@@ -176,7 +176,7 @@ func TestQuickShiftInvariance(t *testing.T) {
 				shifted.RSS[t][i] = g.RSS[t][i] + shift
 			}
 		}
-		return vector.Equal(g.Vector(), shifted.Vector())
+		return sameVector(g.Vector(), shifted.Vector())
 	}
 	if err := quick.Check(f, quickCfg()); err != nil {
 		t.Error(err)

@@ -260,25 +260,6 @@ func (g *Group) ExtendedVector() vector.Vector {
 	return v
 }
 
-// DetectionSequence returns the node IDs of reporting nodes sorted by
-// descending RSS at instant t — the per-instant detection sequence of
-// Def. 3 used by the sequence-matching baselines.
-func (g *Group) DetectionSequence(t int) []int {
-	var ids []int
-	for i, rep := range g.Reported {
-		if rep {
-			ids = append(ids, i)
-		}
-	}
-	// Insertion sort by descending RSS: reports are small (n ≤ 40).
-	for a := 1; a < len(ids); a++ {
-		for b := a; b > 0 && g.RSS[t][ids[b]] > g.RSS[t][ids[b-1]]; b-- {
-			ids[b], ids[b-1] = ids[b-1], ids[b]
-		}
-	}
-	return ids
-}
-
 // MeanRSS returns the per-node mean RSS over the group's instants for
 // reporting nodes; the second result lists the reporting node IDs.
 func (g *Group) MeanRSS() (means []float64, ids []int) {

@@ -80,42 +80,3 @@ func Spearman(a, b []int) (float64, error) {
 	nf := float64(n)
 	return 1 - 6*d2/(nf*(nf*nf-1)), nil
 }
-
-// KendallTau returns Kendall's tau rank correlation between two orderings
-// of the same ID set, in [-1, 1]. It returns an error under the same
-// conditions as Spearman.
-func KendallTau(a, b []int) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("seq: length mismatch %d vs %d", len(a), len(b))
-	}
-	n := len(a)
-	if n < 2 {
-		return 0, nil
-	}
-	ra, rb := Ranks(a), Ranks(b)
-	if len(ra) != n || len(rb) != n {
-		return 0, fmt.Errorf("seq: sequences contain duplicate IDs")
-	}
-	ids := make([]int, 0, n)
-	for id := range ra {
-		if _, ok := rb[id]; !ok {
-			return 0, fmt.Errorf("seq: ID %d missing from second sequence", id)
-		}
-		ids = append(ids, id)
-	}
-	concordant, discordant := 0, 0
-	for x := 0; x < len(ids); x++ {
-		for y := x + 1; y < len(ids); y++ {
-			da := ra[ids[x]] - ra[ids[y]]
-			db := rb[ids[x]] - rb[ids[y]]
-			switch {
-			case da*db > 0:
-				concordant++
-			case da*db < 0:
-				discordant++
-			}
-		}
-	}
-	pairs := n * (n - 1) / 2
-	return float64(concordant-discordant) / float64(pairs), nil
-}

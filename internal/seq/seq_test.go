@@ -84,60 +84,28 @@ func TestSpearmanShort(t *testing.T) {
 	}
 }
 
-func TestKendallExtremes(t *testing.T) {
-	a := []int{1, 2, 3, 4}
-	same, err := KendallTau(a, []int{1, 2, 3, 4})
-	if err != nil || same != 1 {
-		t.Errorf("identical tau = %v, %v", same, err)
-	}
-	rev, err := KendallTau(a, []int{4, 3, 2, 1})
-	if err != nil || rev != -1 {
-		t.Errorf("reversed tau = %v, %v", rev, err)
-	}
-}
-
-func TestKendallKnownValue(t *testing.T) {
-	// One adjacent swap in n=4 creates exactly one discordant pair:
-	// tau = (5-1)/6 = 2/3.
-	got, err := KendallTau([]int{1, 2, 3, 4}, []int{2, 1, 3, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("tau = %v, want 2/3", got)
-	}
-}
-
-func TestKendallErrors(t *testing.T) {
-	if _, err := KendallTau([]int{1, 2}, []int{1}); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := KendallTau([]int{1, 1}, []int{1, 2}); err == nil {
-		t.Error("duplicate IDs should error")
-	}
-	if _, err := KendallTau([]int{1, 2}, []int{3, 4}); err == nil {
-		t.Error("different ID sets should error")
-	}
-}
-
-func TestCorrelationsAgreeInSign(t *testing.T) {
+// TestSpearmanRandomPermutations checks Spearman on random orderings:
+// it stays in [-1, 1], and reversing one ordering negates it.
+func TestSpearmanRandomPermutations(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	base := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	for trial := 0; trial < 200; trial++ {
 		perm := append([]int(nil), base...)
 		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		rev := make([]int, len(perm))
+		for i, id := range perm {
+			rev[len(perm)-1-i] = id
+		}
 		rho, err1 := Spearman(base, perm)
-		tau, err2 := KendallTau(base, perm)
+		rhoRev, err2 := Spearman(base, rev)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
-		// Strong agreement measures; require same sign when both are
-		// decisively nonzero.
-		if rho > 0.5 && tau < 0 || rho < -0.5 && tau > 0 {
-			t.Fatalf("sign disagreement: rho=%v tau=%v for %v", rho, tau, perm)
+		if rho < -1-1e-9 || rho > 1+1e-9 {
+			t.Fatalf("out of range: rho=%v for %v", rho, perm)
 		}
-		if rho < -1-1e-9 || rho > 1+1e-9 || tau < -1-1e-9 || tau > 1+1e-9 {
-			t.Fatalf("out of range: rho=%v tau=%v", rho, tau)
+		if math.Abs(rho+rhoRev) > 1e-12 {
+			t.Fatalf("reversal not antisymmetric: rho=%v, reversed %v for %v", rho, rhoRev, perm)
 		}
 	}
 }

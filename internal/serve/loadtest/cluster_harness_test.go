@@ -141,11 +141,6 @@ func (c *Cluster) Drain(ctx context.Context, name string) (int, error) {
 	return moved, be.Serve.Drain(ctx)
 }
 
-// SessionCounts fans out through the router: live sessions by backend.
-func (c *Cluster) SessionCounts(ctx context.Context) (map[string]int, error) {
-	return c.Router.SessionCounts(ctx)
-}
-
 // Close tears the whole cluster down (backends first, then router).
 func (c *Cluster) Close() {
 	for _, b := range c.Backends {

@@ -2,6 +2,7 @@ package loadtest
 
 import (
 	"context"
+	"encoding/json"
 	"sync"
 	"testing"
 
@@ -114,13 +115,23 @@ func TestClusterWave(t *testing.T) {
 		}
 		wantCounts[o]++
 	}
-	counts, err := c.SessionCounts(ctx)
+	resp, err := c.Client().Get(c.URL + "/v1/sessions")
 	if err != nil {
 		t.Fatal(err)
 	}
+	var listed []json.RawMessage
+	err = json.NewDecoder(resp.Body).Decode(&listed)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(listed) != len(ids) {
+		t.Errorf("post-drain list has %d sessions, want %d", len(listed), len(ids))
+	}
 	for _, n := range memberNames {
-		if counts[n] != wantCounts[n] {
-			t.Errorf("post-drain %s holds %d sessions, want %d (all: %v)", n, counts[n], wantCounts[n], counts)
+		got := c.Router.Registry().Gauge(`fttt_router_sessions{backend="` + n + `"}`).Value()
+		if got != float64(wantCounts[n]) {
+			t.Errorf("post-drain %s holds %v sessions, want %d", n, got, wantCounts[n])
 		}
 	}
 	restores := 0.0

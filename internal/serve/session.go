@@ -123,9 +123,6 @@ func newSession(id string, srv *Server, wire SessionConfig, cfg core.Config, mt 
 // ID returns the session identifier.
 func (s *Session) ID() string { return s.id }
 
-// Config returns the session's resolved tracker configuration.
-func (s *Session) Config() core.Config { return s.cfg }
-
 // Targets returns the session's known target IDs in sorted order.
 func (s *Session) Targets() []string { return s.mt.Targets() }
 

@@ -129,42 +129,6 @@ func Summarize(xs []float64) Summary {
 	}
 }
 
-// Welford accumulates mean and variance in one pass without retaining the
-// sample. The zero value is ready to use.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations so far.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (NaN before any observation).
-func (w *Welford) Mean() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.mean
-}
-
-// StdDev returns the running population standard deviation (NaN before
-// any observation).
-func (w *Welford) StdDev() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return math.Sqrt(w.m2 / float64(w.n))
-}
-
 // BootstrapCI returns a percentile bootstrap confidence interval for the
 // mean of xs at the given confidence level (e.g. 0.95), using resamples
 // drawn from the deterministic source next (a func returning uniform
@@ -191,26 +155,4 @@ func BootstrapCI(xs []float64, level float64, resamples int, next func(n int) in
 	}
 	alpha := (1 - level) / 2 * 100
 	return Percentile(means, alpha), Percentile(means, 100-alpha)
-}
-
-// MeanSeries averages several equal-length series point-wise: result[i] is
-// the mean of series[trial][i] over trials. It panics on length mismatch.
-func MeanSeries(series [][]float64) []float64 {
-	if len(series) == 0 {
-		return nil
-	}
-	n := len(series[0])
-	out := make([]float64, n)
-	for _, s := range series {
-		if len(s) != n {
-			panic("stats: series length mismatch")
-		}
-		for i, x := range s {
-			out[i] += x
-		}
-	}
-	for i := range out {
-		out[i] /= float64(len(series))
-	}
-	return out
 }

@@ -95,54 +95,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestWelfordMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	xs := make([]float64, 1000)
-	var w Welford
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*3 + 7
-		w.Add(xs[i])
-	}
-	if !almostEq(w.Mean(), Mean(xs)) {
-		t.Errorf("Welford mean %v vs batch %v", w.Mean(), Mean(xs))
-	}
-	if math.Abs(w.StdDev()-StdDev(xs)) > 1e-9 {
-		t.Errorf("Welford sd %v vs batch %v", w.StdDev(), StdDev(xs))
-	}
-	if w.N() != 1000 {
-		t.Errorf("N = %d", w.N())
-	}
-}
-
-func TestWelfordEmpty(t *testing.T) {
-	var w Welford
-	if !math.IsNaN(w.Mean()) || !math.IsNaN(w.StdDev()) {
-		t.Error("empty Welford should report NaN")
-	}
-}
-
-func TestMeanSeries(t *testing.T) {
-	out := MeanSeries([][]float64{{1, 2, 3}, {3, 4, 5}})
-	want := []float64{2, 3, 4}
-	for i := range want {
-		if !almostEq(out[i], want[i]) {
-			t.Errorf("MeanSeries[%d] = %v, want %v", i, out[i], want[i])
-		}
-	}
-	if MeanSeries(nil) != nil {
-		t.Error("MeanSeries(nil) should be nil")
-	}
-}
-
-func TestMeanSeriesPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched series should panic")
-		}
-	}()
-	MeanSeries([][]float64{{1, 2}, {1}})
-}
-
 func TestMeanBounds(t *testing.T) {
 	f := func(a, b, c float64) bool {
 		xs := []float64{a, b, c}

@@ -1,14 +1,13 @@
 // Package trace provides import/export of target traces and tracking
-// results: CSV for spreadsheets and plotting scripts, JSON for
-// programmatic pipelines, and a velocity estimator over tracked points
-// (finite differences with a smoothing window), matching the
-// velocity-estimation use-cases the paper's related work covers [4][5].
+// results as CSV for spreadsheets and plotting scripts, and a velocity
+// estimator over tracked points (finite differences with a smoothing
+// window), matching the velocity-estimation use-cases the paper's
+// related work covers [4][5].
 package trace
 
 import (
 	"bufio"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -19,10 +18,10 @@ import (
 
 // Point is one timestamped target position, optionally with an estimate.
 type Point struct {
-	T    float64    `json:"t"`
-	True geom.Point `json:"true"`
+	T    float64
+	True geom.Point
 	// Est is the tracker's estimate; nil for a pure ground-truth trace.
-	Est *geom.Point `json:"est,omitempty"`
+	Est *geom.Point
 }
 
 // Err returns the tracking error, or -1 when no estimate is present.
@@ -115,22 +114,6 @@ func ReadCSV(r io.Reader) (Trace, error) {
 			p.Est = &e
 		}
 		tr = append(tr, p)
-	}
-	return tr, nil
-}
-
-// WriteJSON emits the trace as a JSON array.
-func (tr Trace) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(tr)
-}
-
-// ReadJSON parses a JSON trace.
-func ReadJSON(r io.Reader) (Trace, error) {
-	var tr Trace
-	if err := json.NewDecoder(r).Decode(&tr); err != nil {
-		return nil, fmt.Errorf("trace: %v", err)
 	}
 	return tr, nil
 }

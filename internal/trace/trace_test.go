@@ -80,30 +80,6 @@ func TestReadCSVErrors(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	tr := sample()
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0].Est == nil || got[1].Est != nil {
-		t.Fatalf("round trip broken: %+v", got)
-	}
-	if !got[0].Est.Eq(*tr[0].Est) {
-		t.Error("estimate lost")
-	}
-}
-
-func TestReadJSONError(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("{broken")); err == nil {
-		t.Error("broken JSON should fail")
-	}
-}
-
 func TestErrAndErrors(t *testing.T) {
 	tr := sample()
 	if got := tr[0].Err(); math.Abs(got-math.Sqrt(0.5)) > 1e-9 {

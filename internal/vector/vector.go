@@ -109,19 +109,6 @@ func (v Vector) Clone() Vector {
 // Dim returns the number of components (node pairs).
 func (v Vector) Dim() int { return len(v) }
 
-// Nodes returns the number of nodes n with C(n,2) == len(v), or -1 if the
-// length is not a triangular number.
-func (v Vector) Nodes() int {
-	// Solve n(n-1)/2 == len.
-	n := int((1 + math.Sqrt(1+8*float64(len(v)))) / 2)
-	for _, cand := range []int{n - 1, n, n + 1} {
-		if cand >= 0 && NumPairs(cand) == len(v) {
-			return cand
-		}
-	}
-	return -1
-}
-
 // Get returns the value of pair (i, j), i < j, for a vector over n nodes.
 func (v Vector) Get(i, j, n int) Value { return v[PairIndex(i, j, n)] }
 
@@ -171,51 +158,6 @@ func Similarity(a, b Vector) float64 {
 		return math.Inf(1)
 	}
 	return 1 / d
-}
-
-// Equal reports whether a and b agree in every component, with Star equal
-// only to Star.
-func Equal(a, b Vector) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		switch {
-		case a[k].IsStar() && b[k].IsStar():
-		case a[k].IsStar() || b[k].IsStar():
-			return false
-		case a[k] != b[k]:
-			return false
-		}
-	}
-	return true
-}
-
-// HammingNeighbors reports whether a and b differ in exactly one component
-// and by exactly magnitude 1 there — the neighbor-face relation of
-// Theorem 1. Star components are skipped.
-func HammingNeighbors(a, b Vector) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	diffs := 0
-	for k := range a {
-		if a[k].IsStar() || b[k].IsStar() {
-			continue
-		}
-		d := math.Abs(float64(a[k] - b[k]))
-		if d == 0 {
-			continue
-		}
-		if d != 1 {
-			return false
-		}
-		diffs++
-		if diffs > 1 {
-			return false
-		}
-	}
-	return diffs == 1
 }
 
 // Key returns a compact string key identifying a ternary vector; vectors

@@ -107,9 +107,3 @@ func (cm *ClockModel) MaxAbsOffset() float64 {
 	}
 	return worst
 }
-
-// SampleTimeError returns the sampling-position displacement node i's
-// clock offset induces for a target moving at speed v (m/s): |offset|·v.
-func (cm *ClockModel) SampleTimeError(i int, v float64) float64 {
-	return math.Abs(cm.Offsets[i]) * v
-}

@@ -1,7 +1,6 @@
 package wsnnet
 
 import (
-	"math"
 	"testing"
 
 	"fttt/internal/geom"
@@ -175,17 +174,6 @@ func TestSynchronizeTightensOffsets(t *testing.T) {
 	// here): a millisecond-scale bound is generous.
 	if after > 0.001 {
 		t.Errorf("residual offset %.6f too large for 50µs hop jitter", after)
-	}
-}
-
-func TestSampleTimeError(t *testing.T) {
-	n, _ := New(testConfig(9))
-	cm, _ := NewClockModel(n, 0.1, 0, 1e-5, randx.New(4))
-	for i := range cm.Offsets {
-		want := math.Abs(cm.Offsets[i]) * 5
-		if got := cm.SampleTimeError(i, 5); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("SampleTimeError(%d) = %v, want %v", i, got, want)
-		}
 	}
 }
 
